@@ -105,7 +105,11 @@ def blahut_arimoto(rows: np.ndarray, tol: float = 1e-9,
 
 
 def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
-    """Shannon capacity of the averaged channel; equals the randomized ID capacity."""
+    """Shannon capacity of the averaged channel, the transmission baseline.
+
+    It is not an ID capacity: with feedback the randomized ID capacity is
+    max_P H(PW) (`rand_feedback_capacity`), 1.0 on FlipBSC against 0.531.
+    """
     value, r, it = blahut_arimoto(averaged_channel(ch).rows, tol=tol)
     return CapacityResult(value=value, maximizer=InputDistribution(p=r),
                           optimality_gap=tol, iterations=it)

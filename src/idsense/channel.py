@@ -95,19 +95,6 @@ class AveragedDMC:
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True)
-class SequenceTriple:
-    """One closed-loop realization (x^n, s^n, y^n)."""
-
-    x_seq: tuple[int, ...]
-    s_seq: tuple[int, ...]
-    y_seq: tuple[int, ...]
-
-    def __post_init__(self):
-        if not (len(self.x_seq) == len(self.s_seq) == len(self.y_seq)):
-            raise LengthMismatch("sequence lengths differ")
-
-
 def validate_channel(raw_kernel, raw_prior) -> StateDMC:
     """Build a StateDMC from nested numeric arrays, rejecting malformed input.
 
@@ -142,11 +129,22 @@ def averaged_channel(ch: StateDMC) -> AveragedDMC:
     return AveragedDMC(rows=rows)
 
 
+def cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the last pinned to 1.0 for sampling."""
+    cum = np.cumsum(p, axis=-1)
+    cum[..., -1] = 1.0
+    return cum
+
+
+def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Categorical draws: cum_rows (..., Y) from `cumulative`, u (...) uniforms."""
+    return (u[..., None] >= cum_rows).sum(axis=-1)
+
+
 def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. states from the prior; deterministic given the rng state."""
-    cum = np.cumsum(ch.state_prior)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+    return np.searchsorted(cumulative(ch.state_prior), rng.random(n),
+                           side="right").astype(np.int64)
 
 
 def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
@@ -155,9 +153,7 @@ def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
         raise IndexOutOfRange(f"input symbol {x} out of range")
     if not 0 <= s < ch.state_size:
         raise IndexOutOfRange(f"state symbol {s} out of range")
-    cum = np.cumsum(ch.kernel[x, s])
-    cum[-1] = 1.0
-    return int(np.searchsorted(cum, rng.random(), side="right"))
+    return int(np.searchsorted(cumulative(ch.kernel[x, s]), rng.random(), side="right"))
 
 
 def sequence_log2_likelihood(ch: StateDMC, x_seq, y_seq) -> float:

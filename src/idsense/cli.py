@@ -44,12 +44,12 @@ from .estimation import (
 )
 from .fixtures import fixture_path
 from .sim import (
-    ENUMERATION_GUARD,
+    _rate_stderr,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     monte_carlo,
 )
-from .typicality import typical_size_bounds
+from .typicality import ENUMERATION_GUARD, typical_size_bounds
 
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
@@ -78,19 +78,26 @@ def _resolve_channel(name: str) -> tuple[StateDMC, "np.ndarray | None"]:
 
 def _resolve_distortion(spec: str | None, ch: StateDMC,
                         inline: "np.ndarray | None") -> DistortionMatrix:
-    if spec is None or spec == "hamming":
-        if spec is None and inline is not None:
-            return DistortionMatrix(d=inline)
+    if spec is None and inline is not None:
+        matrix = inline
+    elif spec is None or spec == "hamming":
         return hamming_distortion(ch.state_size)
-    path = Path(spec)
-    if not path.exists():
+    elif not Path(spec).exists():
         _fail(EXIT_CONFIG, f"distortion file {spec!r} not found")
+    else:
+        try:
+            raw = json.loads(Path(spec).read_text())
+            matrix = raw["distortion"] if isinstance(raw, dict) else raw
+        except (ValueError, KeyError) as exc:
+            _fail(EXIT_CONFIG, f"invalid distortion file {spec!r}: {exc}")
     try:
-        raw = json.loads(path.read_text())
-        matrix = raw["distortion"] if isinstance(raw, dict) else raw
-        return DistortionMatrix(d=np.asarray(matrix, dtype=float))
-    except (IdsenseError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_CONFIG, f"invalid distortion file {spec!r}: {exc}")
+        dist = DistortionMatrix(d=np.asarray(matrix, dtype=float))
+    except (IdsenseError, ValueError, TypeError) as exc:
+        _fail(EXIT_CONFIG, f"invalid distortion matrix: {exc}")
+    if dist.d.shape[0] != ch.state_size or dist.d.size == 0:
+        _fail(EXIT_CONFIG, f"distortion matrix has shape {dist.d.shape}, not one "
+                           f"row for each of the {ch.state_size} states")
+    return dist
 
 
 def _parse_grid(grid: str) -> list[float]:
@@ -309,6 +316,8 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
     colors = int(_require(merged, "colors"))
     eps = float(merged.get("eps", 0.1))
     trials = int(merged.get("trials", 10_000))
+    if trials < 1:
+        _fail(EXIT_CONFIG, "trials must be >= 1")
     seed = int(merged.get("seed", 0))
     mode = merged.get("mode") or "det"
     budget = float(merged["budget"]) if merged.get("budget") is not None else \
@@ -344,10 +353,10 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
         rows = [["i", "iprime", "trials", "accept_rate", "stderr"]]
         for i in report.identities:
             p = 1.0 - report.lambda1_per_identity[i]
-            rows.append([i, i, trials, p, _stderr(p, trials)])
+            rows.append([i, i, trials, p, _rate_stderr(p, trials)])
         for (a, b) in report.pairs:
             p = report.lambda2_per_pair[(a, b)]
-            rows.append([a, b, trials, p, _stderr(p, trials)])
+            rows.append([a, b, trials, p, _rate_stderr(p, trials)])
         rows.append([])
         rows.append(["t", "d_t_hat", "stderr"])
         for t in range(code.m):
@@ -356,10 +365,6 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
         _emit_csv(rows, merged.get("out"))
     else:
         _emit_json(data, merged.get("out"))
-
-
-def _stderr(p: float, trials: int) -> float:
-    return float(np.sqrt(max(p * (1.0 - p), 0.0) / trials))
 
 
 @main.command()
@@ -385,11 +390,11 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
     try:
         det = det_feedback_capacity(ch)
         params = BoundParams.for_channel(ch, n=n, mu=mu)
+        lo, hi = typical_size_bounds(ch, int(det.maximizer), n, eps)
     except ZeroCapacityChannel as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
-    lo, hi = typical_size_bounds(ch, int(det.maximizer), n, eps)
     report = {
         "n": n, "eps": eps, "mu": mu,
         "pilot": int(det.maximizer),

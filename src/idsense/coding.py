@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .channel import AveragedDMC, StateDMC, averaged_channel
+from .channel import AveragedDMC, StateDMC, averaged_channel, cumulative, sample_rows
 from .capacity import InputDistribution, blahut_arimoto, entropy
 from .errors import (
     DegenerateCode,
@@ -26,7 +27,7 @@ from .errors import (
     ZeroCapacityChannel,
 )
 from .estimation import FEASIBILITY_TOL, DistortionMatrix, distortion_profile
-from .typicality import counts_typical
+from .typicality import enumerate_blocks, marginal_typical_membership
 
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
@@ -35,15 +36,36 @@ SUPPORT_TOL = 1e-9
 
 # --- keyed pseudorandom coloring --------------------------------------------
 
-def _prf_u64(master_seed: int, identity: int, payload: bytes, counter: int) -> int:
+@lru_cache(maxsize=1024)
+def _prf_prefix(master_seed: int, identity: int):
+    """The keyed BLAKE2b state after absorbing the identity; copy before use."""
     key = (master_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     h = hashlib.blake2b(digest_size=8, key=key)
     ident = identity.to_bytes(max(1, (identity.bit_length() + 7) // 8), "big")
     h.update(len(ident).to_bytes(4, "big"))
     h.update(ident)
+    return h
+
+
+def _prf_u64(master_seed: int, identity: int, payload: bytes, counter: int) -> int:
+    h = _prf_prefix(master_seed, identity).copy()
     h.update(counter.to_bytes(4, "big"))
     h.update(payload)
     return int.from_bytes(h.digest(), "big")
+
+
+def _payload(y_pilot) -> bytes:
+    """One byte per symbol if all are < 256, else the length and 8 bytes per symbol.
+
+    A wide payload is longer than n bytes, so it never equals another
+    block's payload of the same length n.
+    """
+    if getattr(y_pilot, "dtype", None) == np.uint8:
+        return y_pilot.tobytes()
+    symbols = [int(y) for y in y_pilot]
+    if max(symbols, default=0) < 256:
+        return bytes(symbols)
+    return len(symbols).to_bytes(4, "big") + b"".join(y.to_bytes(8, "big") for y in symbols)
 
 
 def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -> int:
@@ -52,7 +74,7 @@ def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -
     Rejection sampling removes the modulo bias; sender and receiver share
     only the master seed.
     """
-    payload = bytes(int(y) for y in y_pilot)
+    payload = _payload(y_pilot)
     bound = (2 ** 64 // color_count) * color_count
     counter = 0
     value = _prf_u64(master_seed, identity, payload, counter)
@@ -95,33 +117,34 @@ def _log_table(rows: np.ndarray, codewords) -> np.ndarray:
     return np.stack([logrows[np.asarray(cw)] for cw in codewords])
 
 
-def _exact_error_profile(rows: np.ndarray, codewords) -> np.ndarray:
-    """Per-message ML error by full enumeration of output tails."""
-    k = len(codewords[0])
-    ny = rows.shape[1]
-    tails = np.array(list(product(range(ny), repeat=k)), dtype=np.int64)
+def confusion_matrix(rows: np.ndarray, codewords) -> np.ndarray:
+    """A[j, j'] = P(ML decode = j' | codeword u_j sent), by enumerating every tail."""
+    tails = enumerate_blocks(rows.shape[1], len(codewords[0]))
     table = _log_table(rows, codewords)
     loglik = np.zeros((len(codewords), tails.shape[0]))
-    for t in range(k):
+    for t in range(tails.shape[1]):
         loglik += table[:, t, tails[:, t]]
     decoded = np.argmax(loglik, axis=0)
     lik = np.exp2(loglik)
-    errors = np.empty(len(codewords))
+    confusion = np.empty((len(codewords), len(codewords)))
     for j in range(len(codewords)):
-        errors[j] = 1.0 - lik[j, decoded == j].sum()
-    return errors
+        confusion[:, j] = lik[:, decoded == j].sum(axis=1)
+    return confusion
+
+
+def _exact_error_profile(rows: np.ndarray, codewords) -> np.ndarray:
+    """Per-message ML error: one minus the confusion matrix's diagonal."""
+    return 1.0 - np.diag(confusion_matrix(rows, codewords))
 
 
 def _mc_error_profile(rows: np.ndarray, codewords, rng: np.random.Generator,
                       trials: int = MC_ERROR_TRIALS) -> np.ndarray:
     k = len(codewords[0])
-    cum = np.cumsum(rows, axis=1)
-    cum[:, -1] = 1.0
+    cum = cumulative(rows)
     table = _log_table(rows, codewords)
     errors = np.empty(len(codewords))
     for j, cw in enumerate(codewords):
-        u = rng.random((trials, k))
-        y = (u[:, :, None] >= cum[np.asarray(cw)][None, :, :]).sum(axis=2)
+        y = sample_rows(cum[np.asarray(cw)], rng.random((trials, k)))
         loglik = np.zeros((len(codewords), trials))
         for t in range(k):
             loglik += table[:, t, y[:, t]]
@@ -252,9 +275,7 @@ class IDFeedbackCode:
         conditional-type typicality.  Decided on integer counts, like every
         typicality test (see `typicality.counts_typical`).
         """
-        y_pilot = np.asarray(y_pilot, dtype=np.int64)
-        counts = np.bincount(y_pilot, minlength=self.pilot_row.size)
-        return bool(counts_typical(counts, self.pilot_row, self.eps))
+        return marginal_typical_membership(self.pilot_row, y_pilot, self.eps)
 
     def to_dict(self) -> dict:
         pilot = (int(self.pilot) if self.mode == "det"
@@ -299,10 +320,7 @@ def encode_step(code: IDFeedbackCode, state: EncoderState,
         if code.mode == "det":
             x = int(code.pilot)
         else:
-            p = code.pilot.p
-            cum = np.cumsum(p)
-            cum[-1] = 1.0
-            x = int(np.searchsorted(cum, rng.random(), side="right"))
+            x = int(np.searchsorted(cumulative(code.pilot.p), rng.random(), side="right"))
         return x, replace(state, t=t + 1)
     if state.committed is None:
         if len(state.y_pilot) != state.pilot_len:

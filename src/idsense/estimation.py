@@ -117,9 +117,7 @@ def min_distortion_input(ch: StateDMC, dist: DistortionMatrix, x: int) -> float:
     """d*(x): expected distortion of the optimal rule given input x."""
     if not 0 <= x < ch.input_size:
         raise IndexOutOfRange(f"input symbol {x} out of range")
-    h = optimal_estimator(ch, dist).h
-    cost = posterior_cost(ch, dist)
-    return float(cost[x, np.arange(ch.output_size), h[x]].sum())
+    return float(distortion_profile(ch, dist).per_input[x])
 
 
 def distortion_profile(ch: StateDMC, dist: DistortionMatrix) -> DistortionProfile:

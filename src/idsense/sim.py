@@ -10,25 +10,25 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
-from .channel import StateDMC, averaged_channel, sample_state_sequence, transmit
-from .coding import ABORT_COLOR, IDFeedbackCode, encode_step, feedback_update, \
-    initial_state, verify
-from .errors import AlphabetTooLarge, TooLargeToEnumerate
+from .channel import StateDMC, averaged_channel, cumulative, sample_rows, \
+    sample_state_sequence, transmit
+from .coding import ABORT_COLOR, IDFeedbackCode, confusion_matrix, encode_step, \
+    feedback_update, initial_state, verify
+from .errors import AlphabetTooLarge, InfeasibleDistortion, TooLargeToEnumerate
 from .estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
     EstimatorTable,
+    distortion_profile,
     estimate_sequence,
     optimal_estimator,
     posterior_cost,
 )
-from .typicality import counts_typical
-
-ENUMERATION_GUARD = 2 ** 20
+from .typicality import ENUMERATION_GUARD, chunks, counts_typical, enumerate_blocks, \
+    symbol_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +127,6 @@ def _pair_seed(seed: int, i: int, i_prime: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draws: cum_rows (..., Y) cumulative, u (...) uniforms."""
-    return (u[..., None] >= cum_rows).sum(axis=-1)
-
-
 def _colors_for(code: IDFeedbackCode, identity: int,
                 pilots: np.ndarray) -> np.ndarray:
     """Coloring values per trial, computed once per distinct pilot block."""
@@ -150,36 +145,27 @@ def _simulate_pair(code: IDFeedbackCode, ch: StateDMC, table: EstimatorTable,
     """
     rng = np.random.default_rng(seed)
     n, m, k = code.n, code.m, code.inner.k
-    cum_prior = np.cumsum(ch.state_prior)
-    cum_prior[-1] = 1.0
-    states = _sample_rows(cum_prior, rng.random((trials, m)))
+    states = sample_rows(cumulative(ch.state_prior), rng.random((trials, m)))
 
-    cum_kernel = np.cumsum(ch.kernel, axis=2)
-    cum_kernel[:, :, -1] = 1.0
+    cum_kernel = cumulative(ch.kernel)
     if code.mode == "det":
         x_pilot = np.full((trials, n), int(code.pilot), dtype=np.int64)
     else:
-        cum_p = np.cumsum(code.pilot.p)
-        cum_p[-1] = 1.0
-        x_pilot = _sample_rows(cum_p, rng.random((trials, n)))
-    y_pilot = _sample_rows(cum_kernel[x_pilot, states[:, :n]],
-                           rng.random((trials, n)))
+        x_pilot = sample_rows(cumulative(code.pilot.p), rng.random((trials, n)))
+    y_pilot = sample_rows(cum_kernel[x_pilot, states[:, :n]],
+                          rng.random((trials, n)))
 
-    counts = np.stack([(y_pilot == y).sum(axis=1) for y in range(ch.output_size)],
-                      axis=1)
-    typical = counts_typical(counts, code.pilot_row, code.eps)
+    typical = counts_typical(symbol_counts(y_pilot, ch.output_size), code.pilot_row, code.eps)
 
-    sent_colors = np.where(typical, _colors_for(code, identity, y_pilot),
-                           ABORT_COLOR)
-    if tested_identity == identity:
-        tested_colors = _colors_for(code, identity, y_pilot)
-    else:
-        tested_colors = _colors_for(code, tested_identity, y_pilot)
+    colors = _colors_for(code, identity, y_pilot)
+    sent_colors = np.where(typical, colors, ABORT_COLOR)
+    tested_colors = (colors if tested_identity == identity
+                     else _colors_for(code, tested_identity, y_pilot))
 
     codewords = np.array(code.inner.codewords, dtype=np.int64)
     x_tail = codewords[sent_colors - 1]
-    y_tail = _sample_rows(cum_kernel[x_tail, states[:, n:]],
-                          rng.random((trials, k)))
+    y_tail = sample_rows(cum_kernel[x_tail, states[:, n:]],
+                         rng.random((trials, k)))
     loglik = np.zeros((code.color_count, trials))
     for t in range(k):
         loglik += code.inner.log_table[:, t, y_tail[:, t]]
@@ -203,7 +189,7 @@ def _choose_identities(code: IDFeedbackCode, identity_sample: str, seed: int,
     elif identity_sample in ("auto", "random"):
         picker = random.Random(seed)
         chosen = set()
-        while len(chosen) < max_identities:
+        while len(chosen) < min(max_identities, n_ids):
             chosen.add(picker.randrange(1, n_ids + 1))
         identities = sorted(chosen)
     else:
@@ -232,25 +218,17 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
 
     dist_sum = np.zeros(code.m)
     dist_sqsum = np.zeros(code.m)
-    total_trials = 0
-
-    lambda1 = {}
-    for i in identities:
-        accept, dvals = _simulate_pair(code, ch, table, dist, i, i,
-                                       trials_per_pair, _pair_seed(seed, i, i))
-        lambda1[i] = float(1.0 - accept.mean())
-        dist_sum += dvals.sum(axis=0)
-        dist_sqsum += (dvals ** 2).sum(axis=0)
-        total_trials += trials_per_pair
-
-    lambda2 = {}
-    for (a, b) in pairs:
+    total_trials = trials_per_pair * (len(identities) + len(pairs))
+    lambda1, lambda2 = {}, {}
+    for (a, b) in [(i, i) for i in identities] + list(pairs):
         accept, dvals = _simulate_pair(code, ch, table, dist, a, b,
                                        trials_per_pair, _pair_seed(seed, a, b))
-        lambda2[(a, b)] = float(accept.mean())
+        if a == b:
+            lambda1[a] = float(1.0 - accept.mean())
+        else:
+            lambda2[(a, b)] = float(accept.mean())
         dist_sum += dvals.sum(axis=0)
         dist_sqsum += (dvals ** 2).sum(axis=0)
-        total_trials += trials_per_pair
 
     l1_hat = max(lambda1.values())
     l2_hat = max(lambda2.values()) if lambda2 else 0.0
@@ -269,20 +247,9 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
 
 # --- exact oracles -----------------------------------------------------------
 
-def _inner_confusion(code: IDFeedbackCode) -> np.ndarray:
-    """A[j, j'] = P(ML decode = j' | codeword u_j sent), exactly."""
-    k = code.inner.k
-    ny = code.inner.rows.shape[1]
-    tails = np.array(list(product(range(ny), repeat=k)), dtype=np.int64)
-    loglik = np.zeros((code.color_count, tails.shape[0]))
-    for t in range(k):
-        loglik += code.inner.log_table[:, t, tails[:, t]]
-    decoded = np.argmax(loglik, axis=0)
-    lik = np.exp2(loglik)
-    confusion = np.zeros((code.color_count, code.color_count))
-    for jp in range(code.color_count):
-        confusion[:, jp] = lik[:, decoded == jp].sum(axis=1)
-    return confusion
+def _running_sum(total: float, terms: np.ndarray) -> float:
+    """total + terms[0] + terms[1] + ..., added one at a time in this order."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
@@ -292,32 +259,33 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
     Sums the defining expectations over every pilot output block and uses
     the exact inner-code confusion matrix for the tail.  In randomized mode
     the marginalization over pilot inputs collapses into the mixture output
-    law because the verdict depends on the output block only.
+    law because the verdict depends on the output block only.  Every sum
+    runs in lexicographic block order; only typical blocks are colored.
     """
     if ch.output_size ** code.m > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate(
-            f"|Y|^m = {ch.output_size}^{code.m} exceeds the enumeration guard"
-        )
-    confusion = _inner_confusion(code)
+        raise TooLargeToEnumerate(f"|Y|^m = {ch.output_size}^{code.m} exceeds the guard")
+    confusion = confusion_matrix(code.inner.rows, code.inner.codewords)
     row = code.pilot_row
     identities = sorted({i for i, _ in pairs} | {i for _, i in pairs})
 
     lambda1 = {i: 0.0 for i in identities}
     lambda2 = {(a, b): 0.0 for a, b in pairs if a != b}
     atypical_mass = 0.0
-    for pilot in product(range(ch.output_size), repeat=code.n):
-        prob = float(np.prod(row[list(pilot)]))
-        if prob == 0.0:
-            continue
-        if not code.pilot_typical(pilot):
-            atypical_mass += prob
-            continue
-        colors = {i: code.coloring(i, pilot) for i in identities}
-        for i in identities:
-            j = colors[i]
-            lambda1[i] += prob * (1.0 - confusion[j - 1, j - 1])
+    for chunk in chunks(enumerate_blocks(ch.output_size, code.n)):
+        prob = np.ones(chunk.shape[0])
+        for t in range(code.n):
+            prob *= row[chunk[:, t]]
+        typical = counts_typical(symbol_counts(chunk, ch.output_size), row, code.eps)
+        atypical_mass = _running_sum(atypical_mass, prob[(prob != 0.0) & ~typical])
+        keep = (prob != 0.0) & typical
+        prob = prob[keep]
+        colors = {i: np.array([code.coloring(i, y) for y in chunk[keep]], dtype=np.int64) - 1
+                  for i in identities}
+        for i, c in colors.items():
+            lambda1[i] = _running_sum(lambda1[i], prob * (1.0 - confusion[c, c]))
         for (a, b) in lambda2:
-            lambda2[(a, b)] += prob * confusion[colors[a] - 1, colors[b] - 1]
+            lambda2[(a, b)] = _running_sum(lambda2[(a, b)],
+                                           prob * confusion[colors[a], colors[b]])
     for i in identities:
         lambda1[i] += atypical_mass
     return {"lambda1": lambda1, "lambda2": lambda2,
@@ -328,39 +296,29 @@ def brute_force_estimator_distortion(ch: StateDMC, dist: DistortionMatrix):
     """Exhaustive search over all |S|^(|X||Y|) estimator tables.
 
     Returns (per-input expected distortion of the best table, best table).
-    The best table is the minimizer of the uniform-over-inputs average.
+    The best table is the first (lexicographic) minimizer of the uniform-over-inputs mean.
     """
-    nx, ny, ns = ch.input_size, ch.output_size, ch.state_size
-    n_tables = ns ** (nx * ny)
-    if n_tables > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate(f"{n_tables} estimator tables exceed the guard")
-    cost = posterior_cost(ch, dist)  # (X, Y, S)
-    best_total = None
-    best_table = None
-    best_per_input = None
-    for flat in product(range(ns), repeat=nx * ny):
-        table = np.asarray(flat, dtype=np.int64).reshape(nx, ny)
-        per_input = np.take_along_axis(cost, table[:, :, None], axis=2)[:, :, 0].sum(axis=1)
-        total = per_input.mean()
-        if best_total is None or total < best_total:
-            best_total = total
-            best_table = table
-            best_per_input = per_input
-    return best_per_input, EstimatorTable(h=best_table)
+    nx, ny = ch.input_size, ch.output_size
+    tables = enumerate_blocks(ch.state_size, nx * ny)
+    cost = posterior_cost(ch, dist).reshape(nx * ny, -1)  # (X*Y, S_hat)
+
+    def per_input(rows: np.ndarray) -> np.ndarray:
+        return cost[np.arange(nx * ny), rows].reshape(-1, nx, ny).sum(axis=2)
+
+    totals = np.concatenate([per_input(t).mean(axis=1) for t in chunks(tables)])
+    best = tables[int(np.argmin(totals))]
+    return per_input(best[None])[0], EstimatorTable(h=best.reshape(nx, ny))
 
 
-def _simplex_grid(dims: int, resolution: int):
-    """All compositions of `resolution` into `dims` parts, as distributions."""
+def _simplex_grid(dims: int, resolution: int) -> np.ndarray:
+    """All compositions of `resolution` into `dims` <= 3 parts, as distributions."""
     if dims == 1:
-        yield np.array([1.0])
-        return
+        return np.ones((1, 1))
     if dims == 2:
-        for i in range(resolution + 1):
-            yield np.array([i, resolution - i]) / resolution
-        return
-    for i in range(resolution + 1):
-        for j in range(resolution - i + 1):
-            yield np.array([i, j, resolution - i - j]) / resolution
+        i = np.arange(resolution + 1)
+        return np.stack([i, resolution - i], axis=1) / resolution
+    i, j = np.triu_indices(resolution + 1)
+    return np.stack([i, j - i, resolution - j], axis=1) / resolution
 
 
 def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
@@ -372,17 +330,13 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
     if resolution > 400:
         raise AlphabetTooLarge("grid resolution capped at 400")
     rows = averaged_channel(ch).rows
-    profile = None
+    grid = _simplex_grid(ch.input_size, resolution)
     if budget is not None:
         if dist is None:
             raise ValueError("budget given without a distortion matrix")
-        from .estimation import distortion_profile
         profile = distortion_profile(ch, dist).per_input
-    grid = np.array(list(_simplex_grid(ch.input_size, resolution)))
-    if profile is not None:
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
         if grid.size == 0:
-            from .errors import InfeasibleDistortion
             raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
     mix = grid @ rows
     with np.errstate(divide="ignore", invalid="ignore"):

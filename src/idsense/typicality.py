@@ -8,7 +8,6 @@ is the desk-scale oracle for the size and mass bounds used as diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -16,7 +15,8 @@ from .channel import AveragedDMC, StateDMC, averaged_channel
 from .errors import LengthMismatch, MissingRow, TooLargeToEnumerate
 from .estimation import _check_distribution
 
-ENUMERATION_GUARD = 2 ** 20
+ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
+CHUNK_ROWS = 2 ** 16          # enumerated rows processed at once
 TYPICALITY_TOL = 1e-9    # per-symbol slack on the closed typicality ball
 
 
@@ -154,16 +154,41 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
     return n * (h - c), n * (h + c)
 
 
+def enumerate_blocks(size: int, n: int) -> np.ndarray:
+    """Every length-n block over {0..size-1}, one per row, in lexicographic order.
+
+    uint8 for alphabets of at most 256 symbols, wider only when needed.
+    """
+    if size ** n > ENUMERATION_GUARD:
+        raise TooLargeToEnumerate(f"{size}^{n} blocks exceed the enumeration guard")
+    dtype = np.uint8 if size <= 2 ** 8 else np.uint16 if size <= 2 ** 16 else np.int64
+    return np.indices((size,) * n, dtype=dtype).reshape(n, -1).T
+
+
+def chunks(rows: np.ndarray) -> list[np.ndarray]:
+    """Consecutive views of at most CHUNK_ROWS rows, to bound working memory."""
+    return np.split(rows, range(CHUNK_ROWS, rows.shape[0], CHUNK_ROWS))
+
+
+def symbol_counts(blocks: np.ndarray, size: int) -> np.ndarray:
+    """Occurrences of each symbol 0..size-1 in each row: shape (rows, size), int64."""
+    flat = np.arange(blocks.shape[0])[:, None] * size + blocks
+    return np.bincount(flat.ravel(), minlength=blocks.shape[0] * size).reshape(-1, size)
+
+
 def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ...]]:
     """Exhaustive, lexicographically sorted typical set for a fixed pilot x^n."""
-    x_seq = tuple(int(x) for x in x_seq)
-    n = len(x_seq)
-    if ch.output_size ** n > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate(
-            f"|Y|^n = {ch.output_size}^{n} exceeds the enumeration guard"
-        )
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    x_seq = np.array([int(x) for x in x_seq], dtype=np.int64)
+    if x_seq.size == 0:
+        raise LengthMismatch("sequences must have length >= 1")
+    rows = averaged_channel(ch).rows
     members = []
-    for y_seq in product(range(ch.output_size), repeat=n):
-        if typical_membership(ch, x_seq, y_seq, eps):
-            members.append(y_seq)
+    for chunk in chunks(enumerate_blocks(ch.output_size, x_seq.size)):
+        typical = np.ones(chunk.shape[0], dtype=bool)
+        for x in np.unique(x_seq):
+            counts = symbol_counts(chunk[:, x_seq == x], ch.output_size)
+            typical &= counts_typical(counts, rows[x], eps)
+        members.extend(map(tuple, chunk[typical].tolist()))
     return members

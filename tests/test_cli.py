@@ -80,6 +80,13 @@ class TestTradeoffCommand:
         assert result.exit_code == 2
 
 
+def assert_config_error(result):
+    """Exit code 2 with an `error:` line, not a traceback."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output and "Traceback" not in result.output
+
+
 class TestEstimateCommand:
     def test_sensor_profile(self, runner):
         result = runner.invoke(main, [
@@ -91,6 +98,14 @@ class TestEstimateCommand:
         assert data["estimator"] == [[0, 1], [0, 0]]
         assert data["feasible_inputs"] == [0]
         assert data["oracle_max_diff"] <= 1e-12
+
+    def test_distortion_size_mismatch_exit_2(self, runner, tmp_path):
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps({"distortion": (1.0 - np.eye(3)).tolist()}))
+        result = runner.invoke(main, ["estimate", "--channel", "flip_bsc",
+                                      "--distortion", str(path)])
+        assert_config_error(result)
+        assert "2 states" in result.output
 
     def test_single_state_zero_profile(self, runner, tmp_path):
         spec = {"input_size": 1, "output_size": 2, "state_size": 1,
@@ -127,6 +142,10 @@ class TestSimulateCommand:
             "-D", "0.05", "--n", "4", "--identities", "4", "--colors", "2"])
         assert result.exit_code == 3
         assert "0.1" in result.output  # names the smallest feasible budget
+
+    def test_zero_trials_exit_2(self, runner):
+        args = [a if a != "300" else "0" for a in self.ARGS]
+        assert_config_error(runner.invoke(main, args))
 
     def test_exact_guard_exit_4(self, runner):
         result = runner.invoke(main, [
@@ -167,6 +186,14 @@ class TestBoundsCommand:
         for key in ("image_size_log2_K1", "image_size_log2_K2",
                     "image_size_log2_K3", "image_size_log2_K4"):
             assert data[key] > 0
+
+    def test_zero_n_exit_2(self, runner):
+        assert_config_error(runner.invoke(main, [
+            "bounds", "--channel", "flip_bsc", "--n", "0"]))
+
+    def test_zero_eps_exit_2(self, runner):
+        assert_config_error(runner.invoke(main, [
+            "bounds", "--channel", "flip_bsc", "--n", "8", "--eps", "0"]))
 
     def test_bad_mu_exit_2(self, runner):
         result = runner.invoke(main, [

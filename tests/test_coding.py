@@ -50,6 +50,25 @@ class TestColoring:
         assert coloring_value(1, 1024, 1, (0, 0, 0)) != base or \
             coloring_value(0, 1024, 2, (0, 0, 0)) != base
 
+    def test_pinned_colors(self):
+        # one byte per symbol below 256, whatever the block's container type
+        blocks = ([0] * 16, [1, 0] * 8, [1] * 16, [0, 1, 1, 0, 1])
+        expected = [5, 2, 1, 4]
+        for convert in (list, tuple, lambda b: np.array(b, dtype=np.int64),
+                        lambda b: np.array(b, dtype=np.uint8)):
+            assert [coloring_value(9, 5, 2 ** 511 + 3, convert(b))
+                    for b in blocks] == expected
+        assert [coloring_value(42, 1000, 7, b)
+                for b in ([0] * 16, [255, 0, 3], [2, 1, 0])] == [293, 841, 68]
+
+    def test_large_alphabet(self):
+        # |Y| = 300: symbols above 255 get a wider, length-prefixed payload
+        colors = {coloring_value(3, 2 ** 20, 1, (y, 299 - y)) for y in range(300)}
+        assert len(colors) >= 290
+        assert all(1 <= c <= 2 ** 20 for c in colors)
+        assert coloring_value(3, 7, 1, (299, 5)) == \
+            coloring_value(3, 7, 1, np.array([299, 5], dtype=np.uint16))
+
     def test_chi_square_uniformity(self):
         M, trials = 8, 10**5
         counts = np.zeros(M)

@@ -99,6 +99,14 @@ class TestMonteCarlo:
         assert report.d_bar_hat <= report.d_t_hat.max() + 1e-12
         assert report.d_bar_hat == pytest.approx(report.d_t_hat.mean(), abs=1e-12)
 
+    def test_random_sample_of_few_identities(self, flip, ham2):
+        # fewer identities than the sample size: all of them, all 12 pairs
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
+                             eps=0.3, mode="det", master_seed=1)
+        report = monte_carlo(code, flip, ham2, 50, identity_sample="random", seed=3)
+        assert report.identities == (1, 2, 3, 4)
+        assert len(report.pairs) == 12
+
     def test_big_identity_space_subsampled(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=2 ** 40,
                              colors=4, eps=0.3, mode="det", master_seed=1)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsense.channel import averaged_channel, sequence_likelihood, transmit, \
-    sample_state_sequence
+from idsense.channel import averaged_channel, cumulative, sample_rows, \
+    sample_state_sequence, sequence_likelihood
 from idsense.coding import build_id_code
 from idsense.errors import LengthMismatch, MissingRow, TooLargeToEnumerate
 from idsense.sim import exact_error_probabilities
@@ -83,13 +83,12 @@ class TestMembership:
             assert not typical_membership(flip, x, y, 0.0)
 
     def test_acceptance_fraction(self, flip):
+        # every state, then every output of input 0, in one draw each
         rng = np.random.default_rng(11)
-        n, accept = 10**4, 0
-        reps = 200
-        for _ in range(reps):
-            states = sample_state_sequence(flip, n, rng)
-            y = [transmit(flip, 0, int(s), rng) for s in states]
-            accept += typical_membership(flip, [0] * n, y, 0.05)
+        n, reps = 10**4, 200
+        states = sample_state_sequence(flip, reps * n, rng).reshape(reps, n)
+        y = sample_rows(cumulative(flip.kernel[0])[states], rng.random((reps, n)))
+        accept = sum(typical_membership(flip, [0] * n, row, 0.05) for row in y)
         assert accept / reps >= 0.99
 
     def test_marginal_membership(self):
