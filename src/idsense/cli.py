@@ -9,6 +9,7 @@ exact cross-check was demanded.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,6 +55,8 @@ from .typicality import ENUMERATION_GUARD, typical_size_bounds
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
+# An a:b:step grid is refused above this many points, before any is built.
+MAX_GRID_POINTS = 10_000
 
 
 def _fail(code: int, message: str):
@@ -104,8 +107,10 @@ def _parse_grid(grid: str) -> list[float]:
     try:
         if ":" in grid:
             a, b, step = (float(v) for v in grid.split(":"))
-            if step <= 0 or b < a:
-                raise ValueError("grid must be ascending with positive step")
+            if not all(map(math.isfinite, (a, b, step))) or step <= 0 or b < a:
+                raise ValueError("grid must be finite and ascending with positive step")
+            if (b - a) / step >= MAX_GRID_POINTS:
+                raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
             values = []
             v = a
             while v <= b + 1e-12:

@@ -380,6 +380,8 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
         raise DegenerateCode("need at least 2 identities")
     if n < 1:
         raise DegenerateCode("pilot length must be >= 1")
+    if not eps > 0:
+        raise DegenerateCode(f"typicality radius eps must be > 0, got {eps}")
     avg = averaged_channel(ch)
     k = math.ceil(math.sqrt(n))
     profile = distortion_profile(ch, dist).per_input

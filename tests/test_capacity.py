@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idsense import fixtures
 from idsense.capacity import (
+    ZERO_CAPACITY_TOL,
     BoundParams,
+    _require_positive_capacity,
     binary_entropy,
     blahut_arimoto,
     det_capacity_distortion,
@@ -72,6 +75,17 @@ class TestShannon:
         rows = np.array([[1 - p, p], [p, 1 - p]])
         cap, _, _ = blahut_arimoto(rows)
         assert cap == pytest.approx(1.0 - binary_entropy(p), abs=1e-6)
+
+    def test_certified_gap(self, flip):
+        # the gap is upper - lower of Blahut's bounds at the returned input
+        for ch in (flip, random_channel(np.random.default_rng(3), 3, 2, 2)):
+            for tol in (1e-6, 1e-9):
+                res = shannon_capacity_avg(ch, tol=tol)
+                assert 0.0 <= res.optimality_gap <= tol
+                rows = averaged_channel(ch).rows
+                div = (rows * np.log2(rows / (res.maximizer.p @ rows))).sum(axis=1)
+                bounds_gap = div.max() - res.maximizer.p @ div
+                assert res.optimality_gap == pytest.approx(max(bounds_gap, 0.0), abs=1e-12)
 
 
 class TestFeedbackCapacities:
@@ -143,6 +157,7 @@ class TestCapacityDistortion:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))
+    @example(seed=244)  # the zero-capacity guard once ran out of iterations here
     def test_curves_monotone_and_ordered(self, seed):
         ch = random_channel(np.random.default_rng(seed), 3, 2, 2)
         dist = hamming_distortion(2)
@@ -166,6 +181,66 @@ class TestCapacityDistortion:
         mix = alpha * p + (1 - alpha) * q
         assert entropy(mix @ rows) >= \
             alpha * entropy(p @ rows) + (1 - alpha) * entropy(q @ rows) - 1e-12
+
+
+def reference_says_zero(ch) -> bool:
+    """The zero-capacity decision of a full BA solve to ZERO_CAPACITY_TOL."""
+    cap, _, _ = blahut_arimoto(averaged_channel(ch).rows, tol=ZERO_CAPACITY_TOL)
+    return cap <= ZERO_CAPACITY_TOL
+
+
+def guard_says_zero(ch) -> bool:
+    try:
+        _require_positive_capacity(ch)
+    except ZeroCapacityChannel:
+        return True
+    return False
+
+
+def near_zero_channel(w: StateDMC, delta: float) -> StateDMC:
+    """(1 - delta) * uniform rows + delta * w: capacity of order delta^2."""
+    kernel = (1.0 - delta) / w.output_size + delta * w.kernel
+    return StateDMC(w.input_size, w.output_size, w.state_size, kernel, w.state_prior)
+
+
+class TestZeroCapacityGuard:
+    """The early-stopping guard decides as a full BA solve does."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 2), (3, 3, 3)])
+    def test_sweep_channels(self, shape):
+        for seed in range(6):
+            ch = random_channel(np.random.default_rng(seed), *shape)
+            assert guard_says_zero(ch) == reference_says_zero(ch)
+
+    def test_fixtures_and_degenerate(self):
+        single = StateDMC(1, 2, 1, np.array([[[0.3, 0.7]]]), np.array([1.0]))
+        cases = [(fixtures.flip_bsc(), False), (fixtures.sensor(), False),
+                 (uniform_rows_channel(), True), (single, True)]
+        for ch, zero in cases:
+            assert guard_says_zero(ch) == reference_says_zero(ch) == zero
+
+    def test_near_zero_straddles_tolerance(self):
+        # FlipBSC and Sensor mixtures put C on both sides of the tolerance;
+        # on the random channel the bounds at the uniform input are about 3x
+        # apart, so at delta = 5e-5 upper > tol while a full solve decides
+        # zero.  (At delta >= 1e-4 a full solve of it runs out of iterations.)
+        lopsided = random_channel(np.random.default_rng(178), 4, 3, 2)
+        cases = [(fixtures.flip_bsc(), (1e-2, 1e-3, 1e-4, 5e-5, 3e-5, 1e-5, 1e-6)),
+                 (fixtures.sensor(), (1e-2, 1e-3, 1e-4, 5e-5, 3e-5, 1e-5, 1e-6)),
+                 (lopsided, (5e-5, 3e-5, 1e-5, 1e-6))]
+        decisions = []
+        for w, deltas in cases:
+            for delta in deltas:
+                ch = near_zero_channel(w, delta)
+                decisions.append(guard_says_zero(ch))
+                assert decisions[-1] == reference_says_zero(ch)
+        assert True in decisions and False in decisions
+
+    def test_seed_244_positive(self):
+        # a full solve stops at 100,000 iterations with a gap of 2.8e-9;
+        # the uniform input alone already gives I = 9.9e-5 bits
+        ch = random_channel(np.random.default_rng(244), 3, 2, 2)
+        assert not guard_says_zero(ch)
 
 
 class TestGridAgreement:

@@ -79,6 +79,13 @@ class TestTradeoffCommand:
             "tradeoff", "--channel", "sensor", "--grid", "0.6:0.1:0.1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-9", "0:inf:1", "0:nan:0.1"])
+    def test_oversized_grid_exit_2(self, runner, grid):
+        # refused before any budget is built
+        result = runner.invoke(main, [
+            "tradeoff", "--channel", "flip_bsc", "--grid", grid])
+        assert_config_error(result)
+
 
 def assert_config_error(result):
     """Exit code 2 with an `error:` line, not a traceback."""
@@ -142,6 +149,12 @@ class TestSimulateCommand:
             "-D", "0.05", "--n", "4", "--identities", "4", "--colors", "2"])
         assert result.exit_code == 3
         assert "0.1" in result.output  # names the smallest feasible budget
+
+    def test_negative_eps_exit_2(self, runner):
+        args = [a if a != "0.3" else "-0.1" for a in self.ARGS]
+        result = runner.invoke(main, args)
+        assert_config_error(result)
+        assert "eps" in result.output
 
     def test_zero_trials_exit_2(self, runner):
         args = [a if a != "300" else "0" for a in self.ARGS]

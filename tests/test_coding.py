@@ -144,6 +144,13 @@ class TestBuildIDCode:
                                  eps=0.3, mode="det", master_seed=1)
             assert code.m == n + int(np.ceil(np.sqrt(n)))
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+    def test_nonpositive_eps_rejected(self, flip, ham2, eps):
+        # as in typical_size_bounds, typicality needs a positive radius
+        with pytest.raises(DegenerateCode, match="eps"):
+            build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
+                          eps=eps, mode="det", master_seed=1)
+
     def test_feasible_symbols_only(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                              eps=0.3, mode="det", master_seed=1)
