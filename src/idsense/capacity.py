@@ -1,10 +1,12 @@
 """Capacity expressions for the averaged channel.
 
 Deterministic feedback ID capacity is a finite maximization of row
-entropies; the randomized variant maximizes the output-mixture entropy over
-the input simplex (optionally cut by one linear distortion constraint) with
-a conditional-gradient method; the Shannon baseline uses Blahut-Arimoto.
-All quantities are in bits.
+entropies.  Every other capacity maximizes f(P) = H(PW) - sum_x P(x) h(x)
+over a polytope, by one pairwise Frank-Wolfe solver with a duality-gap
+certificate and closed-form Newton line searches: the randomized ID
+capacity (h = 0, the simplex), its distortion-constrained variant (h = 0,
+the simplex cut by the budget) and the Shannon capacity (h(x) = H(w_x), so
+f = I(P;W) and the gap is Blahut's bound gap).  All quantities are in bits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .channel import AveragedDMC, StateDMC, averaged_channel
 from .errors import (
@@ -34,6 +35,10 @@ LOG2E = 1.0 / math.log(2.0)
 DEFAULT_TOL = 1e-9
 MAX_ITERS = 100_000
 ZERO_CAPACITY_TOL = 1e-9
+TINY = 1e-300                      # floor under log2 of a probability
+EPS = float(np.finfo(float).eps)
+LINE_SEARCH_ITERS = 100
+STALL_ITERS = 50                   # gap stalls this long -> corrective step
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,49 +78,184 @@ def binary_entropy(p: float) -> float:
     return entropy(np.array([p, 1.0 - p]))
 
 
-# --- Shannon capacity of the averaged channel (Blahut-Arimoto) ---------------
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """H(w_x) of every row, with 0 log 0 = 0."""
+    logrows = np.where(rows > 0, np.log2(np.maximum(rows, TINY)), 0.0)
+    return -(rows * logrows).sum(axis=1)
 
-def _ba_iterates(rows: np.ndarray, max_iters: int):
-    """Yield (lower, upper, r, it) for each Blahut-Arimoto iteration.
 
-    lower = I(r; W) and upper = max_x D(w_x || rW) bracket the capacity at
-    every iteration, and lower never decreases.  rows must have >= 2 inputs.
+def _mixture_entropy(rows: np.ndarray, p: np.ndarray) -> float:
+    q = p @ rows
+    pos = q > 0
+    return float(-(q[pos] * np.log2(q[pos])).sum())
+
+
+def _information(rows: np.ndarray, h: np.ndarray, p: np.ndarray) -> float:
+    """I(p; W) = sum_x p(x) D(w_x || pW), where h holds the row entropies."""
+    q = p @ rows
+    return float(p @ (-(rows @ np.log2(np.maximum(q, TINY))) - h))
+
+
+# --- the Frank-Wolfe solver ---------------------------------------------------
+
+def _line_search(q: np.ndarray, dq: np.ndarray, c: float, limit: float) -> float:
+    """argmax over [0, limit] of phi(g) = H(q + g dq) - c g, given phi'(0) > 0.
+
+    phi is concave, phi'(g) = -dq . log2 q(g) - c (the log2 e term cancels
+    as sum(dq) = 0) and phi''(g) = -log2 e * sum dq^2 / q(g).  Newton steps
+    on phi' = 0 that leave the root's bracket, or are over half the step
+    before last, become bisections; it stops when phi' is rounding noise.
     """
-    logrows = np.where(rows > 0, np.log2(np.maximum(rows, 1e-300)), 0.0)
-    row_neg_entropy = (rows * logrows).sum(axis=1)
-    r = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    for it in range(1, max_iters + 1):
-        q = r @ rows
-        # D(rows[x] || q) per input; rows[x,y] > 0 with q[y] = 0 cannot happen
-        # once r is strictly positive, which the multiplicative update keeps.
-        logq = np.where(q > 0, np.log2(np.maximum(q, 1e-300)), 0.0)
-        div = row_neg_entropy - rows @ logq
-        yield float(r @ div), float(div.max()), r, it
-        r = r * np.exp2(div - div.max())
-        r /= r.sum()
+    if -(dq @ np.log2(np.maximum(q + limit * dq, TINY))) - c >= 0.0:
+        return limit
+    lo, hi = 0.0, limit
+    # phi'' is unbounded at 0 when the step brings in an output q lacks
+    g = 0.0 if (q[dq != 0] > 0).all() else 0.5 * limit
+    step = before = limit
+    for _ in range(LINE_SEARCH_ITERS):
+        qg = np.maximum(q + g * dq, TINY)
+        logq = np.log2(qg)
+        d1 = -(dq @ logq) - c
+        if abs(d1) <= 64 * EPS * (np.abs(dq) @ np.abs(logq) + abs(c)):
+            break
+        if d1 > 0:
+            lo = g
+        else:
+            hi = g
+        if hi - lo <= 4 * EPS * hi:
+            break
+        newton = d1 / (LOG2E * (dq * dq / qg).sum())   # = -phi'/phi''
+        if lo < g + newton < hi and 2 * abs(newton) <= before:
+            before, step = step, abs(newton)
+            g += newton
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            g = lo + step
+    return g
 
 
-def _ba_solve(rows: np.ndarray, tol: float,
-              max_iters: int) -> tuple[float, np.ndarray, int, float]:
-    """(capacity, input distribution, iterations, upper - lower at exit)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] == 1:
-        return 0.0, np.ones(1), 0, 0.0
-    for lower, upper, r, it in _ba_iterates(rows, max_iters):
-        if upper - lower <= tol:
-            return max(lower, 0.0), r, it, max(upper - lower, 0.0)
-    raise NoConvergence(max_iters, gap=upper - lower)
+def _newton_on_face(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """Corrective step: one Newton step in all active vertex weights at once.
 
+    On the active face f(w) = H(wR) - w.c, with R and c the vertices' output
+    rows and costs.  The KKT system of the quadratic model on sum(w) = 1 is
+    solved by least squares, as the Hessian -log2 e * R diag(1/q) R^T is
+    singular when the rows of R are affinely dependent.  The step is capped
+    by the ratio test (w >= 0), searched exactly, and kept unless f drops.
+    """
+    active = np.flatnonzero(weights > 0)
+    w = weights[active]
+    R, c = verts[active] @ rows, verts[active] @ h
+    q = w @ R
+    R, q = R[:, q > 0], q[q > 0]
+    grad = -(R @ np.log2(q)) - c
+    k = active.size
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = -LOG2E * (R / q) @ R.T
+    kkt[k, k] = 0.0
+    s = np.linalg.lstsq(kkt, np.append(-grad, 0.0), rcond=None)[0][:k]
+    s -= s.mean()
+    if grad @ s <= 0.0:
+        return weights
+    shrinking = np.flatnonzero(s < 0)
+    ratios = w[shrinking] / -s[shrinking]
+    limit = float(ratios.min())
+    t = _line_search(q, s @ R, float(s @ c), limit)
+    new = np.clip(w + t * s, 0.0, None)
+    if t == limit:
+        new[shrinking[np.argmin(ratios)]] = 0.0
+    new /= new.sum()
+    if _mixture_entropy(R, new) - new @ c < _mixture_entropy(R, w) - w @ c:
+        return weights
+    out = np.zeros_like(weights)
+    out[active] = new
+    return out
+
+
+def _fw_iterates(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
+                 max_iters: int):
+    """Yield (p, gap, it) for each iteration of pairwise Frank-Wolfe.
+
+    Maximizes f(P) = H(PW) - P.h over the convex hull of the rows of verts
+    from their mean; gap = max_v grad.v - grad.p >= max f - f(p), and f(p)
+    never decreases.  A step moves mass from the worst active vertex to the
+    best one (exact line search; a dropped vertex gets weight exactly 0).
+    After STALL_ITERS iterations without progress on the gap, a Newton step
+    on the active face is taken instead.
+    """
+    weights = np.full(len(verts), 1.0 / len(verts))
+    best_gap, stall = math.inf, 0
+    for it in range(max_iters):
+        p = weights @ verts
+        q = p @ rows
+        grad = -(rows @ np.log2(np.maximum(q, TINY))) - h
+        scores = verts @ grad
+        fw = int(np.argmax(scores))
+        gap = float(scores[fw] - grad @ p)
+        yield p, gap, it
+        if gap < 0.9 * best_gap:
+            best_gap, stall = gap, 0
+        else:
+            stall += 1
+        if stall >= STALL_ITERS:
+            weights = _newton_on_face(rows, verts, h, weights)
+            best_gap, stall = math.inf, 0
+            continue
+        active = np.flatnonzero(weights > 0)
+        away = int(active[np.argmin(scores[active])])
+        direction = verts[fw] - verts[away]
+        limit = float(weights[away])
+        gamma = _line_search(q, direction @ rows, float(direction @ h), limit)
+        weights[fw] += gamma
+        weights[away] = 0.0 if gamma == limit else weights[away] - gamma
+        weights = np.clip(weights, 0.0, None)
+        weights /= weights.sum()
+
+
+def _frank_wolfe(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, float, int]:
+    """(maximizer, certified gap <= tol, iterations) of `_fw_iterates`."""
+    for p, gap, it in _fw_iterates(rows, verts, h, MAX_ITERS):
+        if gap <= tol:
+            return p, max(gap, 0.0), it
+    raise NoConvergence(MAX_ITERS, gap=gap)
+
+
+def _max_mixture_entropy(rows: np.ndarray, verts: np.ndarray, tol: float) -> CapacityResult:
+    """max of H(PW) over the convex hull of verts, with its certificate."""
+    p, gap, it = _frank_wolfe(rows, verts, np.zeros(rows.shape[0]), tol)
+    return CapacityResult(value=_mixture_entropy(rows, p), maximizer=InputDistribution(p=p),
+                          optimality_gap=gap, iterations=it)
+
+
+# --- Shannon capacity of the averaged channel --------------------------------
 
 def blahut_arimoto(rows: np.ndarray, tol: float = 1e-9,
                    max_iters: int = MAX_ITERS) -> tuple[float, np.ndarray, int]:
     """Return (capacity bits, optimal input distribution, iterations).
 
-    Terminates when the standard upper and lower capacity bounds differ by
-    at most tol.
+    Blahut's iteration, the reference solver of the inner transmission
+    codes; it terminates when the bounds I(r; W) <= C <= max_x D(w_x || rW)
+    differ by at most tol.
     """
-    value, r, it, _ = _ba_solve(rows, tol, max_iters)
-    return value, r, it
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[0] == 1:
+        return 0.0, np.ones(1), 0
+    row_neg_entropy = -_row_entropies(rows)
+    r = np.full(rows.shape[0], 1.0 / rows.shape[0])
+    for it in range(1, max_iters + 1):
+        q = r @ rows
+        # D(rows[x] || q) per input; rows[x,y] > 0 with q[y] = 0 cannot happen
+        # once r is strictly positive, which the multiplicative update keeps.
+        logq = np.where(q > 0, np.log2(np.maximum(q, TINY)), 0.0)
+        div = row_neg_entropy - rows @ logq
+        lower, upper = float(r @ div), float(div.max())
+        if upper - lower <= tol:
+            return max(lower, 0.0), r, it
+        r = r * np.exp2(div - div.max())
+        r /= r.sum()
+    raise NoConvergence(max_iters, gap=upper - lower)
 
 
 def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
@@ -123,30 +263,37 @@ def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
 
     It is not an ID capacity: with feedback the randomized ID capacity is
     max_P H(PW) (`rand_feedback_capacity`), 1.0 on FlipBSC against 0.531.
-    optimality_gap is the certified gap upper - lower at exit, at most tol.
+    Frank-Wolfe maximizes I(P;W) = H(PW) - sum_x P(x) H(w_x); its gap is
+    Blahut's certified bound gap max_x D(w_x || PW) - I(P;W), at most tol.
     """
-    value, r, it, gap = _ba_solve(averaged_channel(ch).rows, tol, MAX_ITERS)
-    return CapacityResult(value=value, maximizer=InputDistribution(p=r),
+    rows = averaged_channel(ch).rows
+    h = _row_entropies(rows)
+    p, gap, it = _frank_wolfe(rows, np.eye(len(rows)), h, tol)
+    value = max(_information(rows, h, p), 0.0) if len(rows) > 1 else 0.0
+    return CapacityResult(value=value, maximizer=InputDistribution(p=p),
                           optimality_gap=gap, iterations=it)
 
 
 def _require_positive_capacity(ch: StateDMC):
     """Raise ZeroCapacityChannel unless the Shannon capacity exceeds ZERO_CAPACITY_TOL.
 
-    Blahut-Arimoto runs only until its bounds decide: lower > tol is
-    positive, upper <= tol is zero, and once upper - lower <= tol (where a
-    full solve would stop) lower <= tol is zero.  Since lower never
-    decreases, this is the decision of a full solve, reached earlier.
+    The Shannon solve runs only until its bounds decide, lower = I(p; W)
+    and upper = lower + gap: lower > tol is positive, upper <= tol is zero,
+    and once gap <= tol (where a full solve would stop) lower <= tol is
+    zero.  Since lower never decreases, this is the decision of a full
+    solve, reached earlier.
     """
     rows = averaged_channel(ch).rows
     if rows.shape[0] > 1:
-        for lower, upper, _, _ in _ba_iterates(rows, MAX_ITERS):
+        h = _row_entropies(rows)
+        for p, gap, _ in _fw_iterates(rows, np.eye(len(rows)), h, MAX_ITERS):
+            lower = _information(rows, h, p)
             if lower > ZERO_CAPACITY_TOL:
                 return
-            if upper <= ZERO_CAPACITY_TOL or upper - lower <= ZERO_CAPACITY_TOL:
+            if lower + gap <= ZERO_CAPACITY_TOL or gap <= ZERO_CAPACITY_TOL:
                 break
         else:
-            raise NoConvergence(MAX_ITERS, gap=upper - lower)
+            raise NoConvergence(MAX_ITERS, gap=gap)
     raise ZeroCapacityChannel("averaged channel has zero Shannon capacity")
 
 
@@ -161,91 +308,6 @@ def det_feedback_capacity(ch: StateDMC) -> CapacityResult:
     return CapacityResult(value=entropies[best], maximizer=best)
 
 
-def _mixture_entropy(rows: np.ndarray, p: np.ndarray) -> float:
-    q = p @ rows
-    pos = q > 0
-    return float(-(q[pos] * np.log2(q[pos])).sum())
-
-
-def _mixture_grad(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
-    q = p @ rows
-    logq = np.log2(np.maximum(q, 1e-300))
-    return -(rows @ logq) - LOG2E
-
-
-def _polish_weights(rows: np.ndarray, verts: np.ndarray,
-                    weights: np.ndarray) -> np.ndarray:
-    """Fully corrective step: re-optimize all vertex weights at once."""
-
-    def neg(w):
-        return -_mixture_entropy(rows, w @ verts)
-
-    def jac(w):
-        return -(verts @ _mixture_grad(rows, w @ verts))
-
-    res = minimize(neg, weights, jac=jac, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * len(weights),
-                   constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
-                                 "jac": lambda w: np.ones_like(w)}],
-                   options={"ftol": 1e-18, "maxiter": 1000})
-    w = np.clip(res.x, 0.0, None)
-    w /= w.sum()
-    if neg(w) <= neg(weights):
-        return w
-    return weights
-
-
-def _frank_wolfe(rows: np.ndarray, vertices: list[np.ndarray], tol: float,
-                 max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Maximize the output-mixture entropy by conditional gradient.
-
-    The feasible polytope is the convex hull of the given vertices.  Pairwise
-    steps (mass moved from the worst active vertex to the best vertex, with
-    an exact line search) avoid the zig-zagging that stalls plain conditional
-    gradient; if progress on the duality-gap certificate still stagnates, a
-    fully corrective re-solve over all vertex weights finishes the job.
-    """
-    verts = np.array(vertices, dtype=float)
-    weights = np.full(len(verts), 1.0 / len(verts))
-    gap = 0.0
-    best_gap = math.inf
-    stall = 0
-    for it in range(max_iters):
-        p = weights @ verts
-        grad = _mixture_grad(rows, p)
-        scores = verts @ grad
-        fw = int(np.argmax(scores))
-        gap = float(scores[fw] - grad @ p)
-        if gap <= tol:
-            return p, max(gap, 0.0), it
-        if gap < 0.9 * best_gap:
-            best_gap, stall = gap, 0
-        else:
-            stall += 1
-        if stall >= 50:
-            weights = _polish_weights(rows, verts, weights)
-            best_gap, stall = math.inf, 0
-            continue
-        active = np.flatnonzero(weights > 0)
-        away = int(active[np.argmin(scores[active])])
-        direction = verts[fw] - verts[away]
-        limit = float(weights[away])
-
-        def neg_obj(gamma):
-            return -_mixture_entropy(rows, p + gamma * direction)
-
-        res = minimize_scalar(neg_obj, bounds=(0.0, limit), method="bounded",
-                              options={"xatol": 1e-16})
-        gamma = min(max(float(res.x), 0.0), limit)
-        if neg_obj(limit) <= res.fun:
-            gamma = limit  # dropping the away vertex entirely is best
-        weights[fw] += gamma
-        weights[away] -= gamma
-        weights = np.clip(weights, 0.0, None)
-        weights /= weights.sum()
-    raise NoConvergence(max_iters, gap=gap)
-
-
 def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityResult:
     """max_P H(sum_x P(x) q_x); requires positive Shannon capacity."""
     rows = averaged_channel(ch).rows
@@ -255,11 +317,7 @@ def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityRe
         return CapacityResult(value=entropy(rows[0]),
                               maximizer=InputDistribution(p=np.ones(1)))
     _require_positive_capacity(ch)
-    vertices = [row for row in np.eye(nx)]
-    p, gap, it = _frank_wolfe(rows, vertices, tol, MAX_ITERS)
-    return CapacityResult(value=_mixture_entropy(rows, p),
-                          maximizer=InputDistribution(p=p),
-                          optimality_gap=gap, iterations=it)
+    return _max_mixture_entropy(rows, np.eye(nx), tol)
 
 
 # --- capacity-distortion functions ------------------------------------------
@@ -278,7 +336,7 @@ def det_capacity_distortion(ch: StateDMC, dist: DistortionMatrix,
     return CapacityResult(value=float(np.max(entropies)), maximizer=best)
 
 
-def _constrained_vertices(profile: np.ndarray, budget: float) -> list[np.ndarray]:
+def _constrained_vertices(profile: np.ndarray, budget: float) -> np.ndarray:
     """Vertices of the simplex cut by sum_x P(x) d*(x) <= D."""
     nx = profile.size
     feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
@@ -296,7 +354,7 @@ def _constrained_vertices(profile: np.ndarray, budget: float) -> list[np.ndarray
             v[x] = 1.0 - lam
             v[xp] = lam
             vertices.append(v)
-    return vertices
+    return np.array(vertices)
 
 
 def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix, budget: float,
@@ -308,11 +366,7 @@ def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix, budget: float
         raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
     _require_positive_capacity(ch)
     rows = averaged_channel(ch).rows
-    vertices = _constrained_vertices(profile, budget)
-    p, gap, it = _frank_wolfe(rows, vertices, tol, MAX_ITERS)
-    return CapacityResult(value=_mixture_entropy(rows, p),
-                          maximizer=InputDistribution(p=p),
-                          optimality_gap=gap, iterations=it)
+    return _max_mixture_entropy(rows, _constrained_vertices(profile, budget), tol)
 
 
 def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,

@@ -111,9 +111,12 @@ def _parse_grid(grid: str) -> list[float]:
                 raise ValueError("grid must be finite and ascending with positive step")
             if (b - a) / step >= MAX_GRID_POINTS:
                 raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
+            # the point count checked above also ends the loop where v += step
+            # no longer moves v (a step below the ulp of v)
+            count = round((b - a + 1e-12) / step) + 1
             values = []
             v = a
-            while v <= b + 1e-12:
+            while v <= b + 1e-12 and len(values) < count:
                 values.append(round(v, 12))
                 v += step
             return values

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -6,10 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import idsense
 from idsense import fixtures
 from idsense.capacity import (
     ZERO_CAPACITY_TOL,
     BoundParams,
+    _line_search,
     _require_positive_capacity,
     binary_entropy,
     blahut_arimoto,
@@ -87,6 +92,21 @@ class TestShannon:
                 bounds_gap = div.max() - res.maximizer.p @ div
                 assert res.optimality_gap == pytest.approx(max(bounds_gap, 0.0), abs=1e-12)
 
+    def test_singleton_input_zero(self):
+        ch = StateDMC(1, 3, 1, np.full((1, 1, 3), 1 / 3), np.array([1.0]))
+        res = shannon_capacity_avg(ch)
+        assert res.value == 0.0 and res.optimality_gap == 0.0
+
+    @pytest.mark.parametrize("seed,shape", [(10106, (3, 2, 2)), (10134, (4, 3, 2))])
+    def test_converges_where_blahut_arimoto_stalls(self, seed, shape):
+        # Blahut-Arimoto stops at 100,000 iterations with a gap of ~2e-6 here
+        ch = random_channel(np.random.default_rng(seed), *shape)
+        res = shannon_capacity_avg(ch)
+        assert 0.0 <= res.optimality_gap <= 1e-9
+        rows = averaged_channel(ch).rows
+        div = (rows * np.log2(rows / (res.maximizer.p @ rows))).sum(axis=1)
+        assert res.maximizer.p @ div - 1e-12 <= res.value <= div.max() + 1e-12
+
 
 class TestFeedbackCapacities:
     def test_flip_det(self, flip):
@@ -127,6 +147,13 @@ class TestFeedbackCapacities:
         res = rand_feedback_capacity(flip, tol=1e-9)
         assert 0.0 <= res.optimality_gap <= 1e-9
 
+    def test_seed_35_one_bit(self):
+        # Frank-Wolfe once stalled here for 100,000 iterations
+        ch = random_channel(np.random.default_rng(35), 3, 2, 2)
+        res = rand_feedback_capacity(ch)
+        assert res.value == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 <= res.optimality_gap <= 1e-9
+
 
 class TestCapacityDistortion:
     def test_sensor_det_budget(self, sensor, ham2):
@@ -158,6 +185,7 @@ class TestCapacityDistortion:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6))
     @example(seed=244)  # the zero-capacity guard once ran out of iterations here
+    @example(seed=8373)  # Frank-Wolfe once stalled here at budget 0.4
     def test_curves_monotone_and_ordered(self, seed):
         ch = random_channel(np.random.default_rng(seed), 3, 2, 2)
         dist = hamming_distortion(2)
@@ -242,6 +270,17 @@ class TestZeroCapacityGuard:
         ch = random_channel(np.random.default_rng(244), 3, 2, 2)
         assert not guard_says_zero(ch)
 
+    def test_near_zero_decided_positive(self):
+        # the bounds after one iteration are [1.28e-9, 1.34e-9]; Blahut-Arimoto
+        # runs out of iterations on this channel, so a full Frank-Wolfe solve
+        # is the reference
+        w = random_channel(np.random.default_rng(178), 4, 3, 2)
+        ch = near_zero_channel(w, 7.08e-5)
+        assert not guard_says_zero(ch)
+        res = shannon_capacity_avg(ch)
+        assert res.value > ZERO_CAPACITY_TOL
+        assert res.value == pytest.approx(1.3e-9, abs=1e-10)
+
 
 class TestGridAgreement:
     def test_grid_matches_frank_wolfe(self):
@@ -313,3 +352,82 @@ class TestRateOfCode:
 
     def test_big_integer_identity_count(self):
         assert rate_of_code(2 ** (2 ** 12), 12) == pytest.approx(1.0, abs=1e-12)
+
+
+def dense_argmax(q, dq, c, limit, points=20_001):
+    """Grid maximizer and maximum of phi(g) = H(q + g dq) - c g on [0, limit]."""
+    g = np.linspace(0.0, limit, points)
+    qg = np.clip(q + g[:, None] * dq, 0.0, None)
+    logs = np.log2(np.where(qg > 0, qg, 1.0))
+    phi = -(qg * logs).sum(axis=1) - c * g
+    best = int(np.argmax(phi))
+    return g[best], phi[best]
+
+
+def phi_at(q, dq, c, g):
+    qg = np.clip(q + g * dq, 0.0, None)
+    pos = qg > 0
+    return float(-(qg[pos] * np.log2(qg[pos])).sum() - c * g)
+
+
+class TestLineSearch:
+    """The exact line search against a dense evaluation of phi."""
+
+    def test_random_directions(self):
+        rng = np.random.default_rng(5)
+        for case in range(200):
+            rows = rng.dirichlet(np.ones(4), size=3)
+            p = rng.dirichlet(np.ones(3))
+            h = rng.uniform(0.0, 2.0, size=3) if case % 2 else np.zeros(3)
+            fw, away = rng.choice(3, size=2, replace=False)
+            d = np.eye(3)[fw] - np.eye(3)[away]
+            if -(d @ rows @ np.log2(p @ rows)) - d @ h <= 0.0:
+                fw, away, d = away, fw, -d   # phi'(0) > 0 is a precondition
+            q, dq, c = p @ rows, d @ rows, float(d @ h)
+            limit = float(p[away])
+            g = _line_search(q, dq, c, limit)
+            assert 0.0 <= g <= limit
+            _, best = dense_argmax(q, dq, c, limit)
+            assert phi_at(q, dq, c, g) >= best - 1e-13
+
+    def test_optimum_at_limit(self):
+        # moving all of the away vertex's mass still raises the entropy
+        rows = np.array([[1.0, 0.0], [0.5, 0.5], [0.9, 0.1]])
+        p = np.array([0.2, 0.1, 0.7])
+        dq = rows[1] - rows[0]
+        assert _line_search(p @ rows, dq, 0.0, 0.2) == 0.2
+
+    def test_output_vanishes_at_limit(self):
+        # only the away vertex reaches the last output, so q_y(limit) = 0 and
+        # phi'(limit) = -inf: the optimum is interior
+        rows = np.array([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        p = np.array([0.5, 0.5])
+        q, dq = p @ rows, rows[1] - rows[0]
+        assert _line_search(q, dq, 0.0, 0.5) == pytest.approx(1 / 6, abs=1e-12)  # uniform q
+        for c in (0.0, 0.5):
+            assert -(dq @ np.log2(q)) - c > 0.0
+            g = _line_search(q, dq, c, 0.5)
+            assert 0.0 < g < 0.5
+            g_grid, best = dense_argmax(q, dq, c, 0.5)
+            assert abs(g - g_grid) <= 0.5 / 20_000
+            assert phi_at(q, dq, c, g) >= best - 1e-13
+
+    def test_output_missing_at_start(self):
+        # the best vertex brings in an output that q lacks: phi'(0) = +inf
+        rows = np.array([[0.6, 0.4, 0.0], [0.1, 0.1, 0.8]])
+        q, dq = rows[0], rows[1] - rows[0]
+        g = _line_search(q, dq, 0.0, 1.0)
+        g_grid, best = dense_argmax(q, dq, 0.0, 1.0)
+        assert 0.0 < g < 1.0 and abs(g - g_grid) <= 1.0 / 20_000
+        assert phi_at(q, dq, 0.0, g) >= best - 1e-13
+
+
+def test_import_loads_only_numpy():
+    # the library's one third-party runtime dependency outside the CLI
+    src = os.path.dirname(os.path.dirname(idsense.__file__))
+    code = ("import sys; before = set(sys.modules); import idsense; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['idsense', 'numpy']"

@@ -86,6 +86,13 @@ class TestTradeoffCommand:
             "tradeoff", "--channel", "flip_bsc", "--grid", grid])
         assert_config_error(result)
 
+    def test_grid_step_below_ulp_returns(self, runner):
+        # 1e20 + 1 == 1e20: the grid loop once spun forever on this point
+        result = runner.invoke(main, [
+            "tradeoff", "--channel", "flip_bsc", "--grid", "1e20:1e20:1"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["grid"] == [1e20]
+
 
 def assert_config_error(result):
     """Exit code 2 with an `error:` line, not a traceback."""
