@@ -68,7 +68,6 @@ from .coding import (
     encode_step,
     feedback_update,
     initial_state,
-    select_det_pilot,
     verify,
 )
 from .sim import (

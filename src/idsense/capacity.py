@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import AveragedDMC, StateDMC, averaged_channel
+from .channel import StateDMC
 from .errors import (
     DegenerateCode,
     InfeasibleDistortion,
@@ -24,12 +24,7 @@ from .errors import (
     NotADistribution,
     ZeroCapacityChannel,
 )
-from .estimation import (
-    FEASIBILITY_TOL,
-    DistortionMatrix,
-    _check_distribution,
-    distortion_profile,
-)
+from .estimation import DistortionMatrix, _feasible_inputs
 
 LOG2E = 1.0 / math.log(2.0)
 DEFAULT_TOL = 1e-9
@@ -266,7 +261,7 @@ def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
     Frank-Wolfe maximizes I(P;W) = H(PW) - sum_x P(x) H(w_x); its gap is
     Blahut's certified bound gap max_x D(w_x || PW) - I(P;W), at most tol.
     """
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     h = _row_entropies(rows)
     p, gap, it = _frank_wolfe(rows, np.eye(len(rows)), h, tol)
     value = max(_information(rows, h, p), 0.0) if len(rows) > 1 else 0.0
@@ -283,7 +278,7 @@ def _require_positive_capacity(ch: StateDMC):
     zero.  Since lower never decreases, this is the decision of a full
     solve, reached earlier.
     """
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     if rows.shape[0] > 1:
         h = _row_entropies(rows)
         for p, gap, _ in _fw_iterates(rows, np.eye(len(rows)), h, MAX_ITERS):
@@ -299,18 +294,22 @@ def _require_positive_capacity(ch: StateDMC):
 
 # --- feedback ID capacities --------------------------------------------------
 
+def _best_row(rows: np.ndarray, inputs) -> CapacityResult:
+    """The input among `inputs` whose averaged row has the largest entropy (first on ties)."""
+    entropies = [entropy(rows[x]) for x in inputs]
+    best = int(np.argmax(entropies))
+    return CapacityResult(value=entropies[best], maximizer=int(inputs[best]))
+
+
 def det_feedback_capacity(ch: StateDMC) -> CapacityResult:
     """max_x H of the averaged row; requires positive Shannon capacity."""
     _require_positive_capacity(ch)
-    rows = averaged_channel(ch).rows
-    entropies = [entropy(row) for row in rows]
-    best = int(np.argmax(entropies))
-    return CapacityResult(value=entropies[best], maximizer=best)
+    return _best_row(ch.rows, range(ch.input_size))
 
 
 def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityResult:
     """max_P H(sum_x P(x) q_x); requires positive Shannon capacity."""
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     nx = rows.shape[0]
     if nx == 1:
         # singleton simplex: the maximization is exact and needs no hypothesis
@@ -325,22 +324,16 @@ def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityRe
 def det_capacity_distortion(ch: StateDMC, dist: DistortionMatrix,
                             budget: float) -> CapacityResult:
     """max over budget-feasible inputs of the averaged-row entropy."""
-    profile = distortion_profile(ch, dist).per_input
-    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
-    if feasible.size == 0:
-        raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
+    _, feasible = _feasible_inputs(ch, dist, budget)
     _require_positive_capacity(ch)
-    rows = averaged_channel(ch).rows
-    entropies = [entropy(rows[x]) for x in feasible]
-    best = int(feasible[int(np.argmax(entropies))])
-    return CapacityResult(value=float(np.max(entropies)), maximizer=best)
+    return _best_row(ch.rows, feasible)
 
 
-def _constrained_vertices(profile: np.ndarray, budget: float) -> np.ndarray:
+def _constrained_vertices(profile: np.ndarray, budget: float,
+                          feasible: np.ndarray) -> np.ndarray:
     """Vertices of the simplex cut by sum_x P(x) d*(x) <= D."""
     nx = profile.size
-    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
-    infeasible = np.flatnonzero(profile > budget + FEASIBILITY_TOL)
+    infeasible = np.delete(np.arange(nx), feasible)
     vertices = []
     for x in feasible:
         v = np.zeros(nx)
@@ -360,13 +353,9 @@ def _constrained_vertices(profile: np.ndarray, budget: float) -> np.ndarray:
 def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix, budget: float,
                              tol: float = DEFAULT_TOL) -> CapacityResult:
     """max_{P : d*(P) <= D} of the output-mixture entropy."""
-    profile = distortion_profile(ch, dist).per_input
-    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
-    if feasible.size == 0:
-        raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
+    profile, feasible = _feasible_inputs(ch, dist, budget)
     _require_positive_capacity(ch)
-    rows = averaged_channel(ch).rows
-    return _max_mixture_entropy(rows, _constrained_vertices(profile, budget), tol)
+    return _max_mixture_entropy(ch.rows, _constrained_vertices(profile, budget, feasible), tol)
 
 
 def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
@@ -391,35 +380,28 @@ def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Parameters of the image-size bounds K1-K4 (log2 scale)."""
+    """Parameters of the image-size bounds K1-K4 (log2 scale).
+
+    beta = max(log2(3)^2, log2(|Y|)^2) and alpha = sqrt(beta / mu) are
+    derived from (mu, |Y|).
+    """
 
     n: int
     mu: float
-    lam: float = 0.25
-    eps: float = 0.1
-    delta: float = 0.0
-    delta_prime: float = 0.0
-    beta: float = field(default=0.0)
-    alpha: float = field(default=0.0)
     output_size: int = 2
+    beta: float = field(init=False)
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.lam < 0.5:
-            raise ValueError("lambda must lie in (0, 0.5)")
         beta = max(math.log2(3.0) ** 2, math.log2(self.output_size) ** 2)
-        alpha = math.sqrt(beta / self.mu)
-        stored_beta = self.beta if self.beta else beta
-        stored_alpha = self.alpha if self.alpha else alpha
-        if abs(stored_beta - beta) > 1e-12 or abs(stored_alpha - alpha) > 1e-12:
-            raise ValueError("stored alpha/beta disagree with (mu, |Y|)")
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", math.sqrt(beta / self.mu))
 
     @classmethod
-    def for_channel(cls, ch: StateDMC, n: int, mu: float, **kw) -> "BoundParams":
-        return cls(n=n, mu=mu, output_size=ch.output_size, **kw)
+    def for_channel(cls, ch: StateDMC, n: int, mu: float) -> "BoundParams":
+        return cls(n=n, mu=mu, output_size=ch.output_size)
 
 
 def image_size_bound(params: BoundParams, ch: StateDMC,
@@ -427,9 +409,8 @@ def image_size_bound(params: BoundParams, ch: StateDMC,
                      budget: float | None = None,
                      variant: str = "K1") -> float:
     """log2 of the image-size cap: n * Hmax + alpha * sqrt(n)."""
-    rows = averaged_channel(ch).rows
     if variant == "K1":
-        hmax = max(entropy(row) for row in rows)
+        hmax = _best_row(ch.rows, range(ch.input_size)).value
     elif variant == "K2":
         hmax = rand_feedback_capacity(ch).value
     elif variant in ("K3", "K4"):

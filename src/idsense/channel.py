@@ -2,13 +2,14 @@
 
 The physical channel is a kernel W(y|x,s) together with a state prior P_S.
 Averaging the kernel over the state gives the effective DMC that governs
-every capacity formula in this package.
+every capacity formula in this package; a StateDMC derives it once, as
+its `rows`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +32,9 @@ DERIVED_TOL = 1e-9
 class StateDMC:
     """A state-dependent DMC: kernel[x][s][y] plus a state prior.
 
-    Immutable after construction; safe to share across concurrent tasks.
+    `rows` is the averaged channel W(y|x) = sum_s P_S(s) W(y|x,s), derived
+    at construction.  Immutable after construction; safe to share across
+    concurrent tasks.
     """
 
     input_size: int
@@ -39,6 +42,7 @@ class StateDMC:
     state_size: int
     kernel: np.ndarray       # shape (X, S, Y)
     state_prior: np.ndarray  # shape (S,)
+    rows: np.ndarray = field(init=False, repr=False)  # shape (X, Y)
 
     def __post_init__(self):
         kernel = np.asarray(self.kernel, dtype=float)
@@ -65,10 +69,12 @@ class StateDMC:
                     raise RowNotNormalized(x, s, float(sums[x, s]))
         if abs(prior.sum() - 1.0) > ROW_TOL:
             raise NotADistribution(f"state prior sums to {prior.sum()!r}")
-        kernel.setflags(write=False)
-        prior.setflags(write=False)
+        rows = np.einsum("s,xsy->xy", prior, kernel)
+        for arr in (kernel, prior, rows):
+            arr.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "state_prior", prior)
+        object.__setattr__(self, "rows", rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,12 +127,11 @@ def averaged_row(ch: StateDMC, x: int) -> np.ndarray:
     """Return sum_s P_S(s) * W(.|x,s)."""
     if not 0 <= x < ch.input_size:
         raise IndexOutOfRange(f"input symbol {x} out of range")
-    return ch.state_prior @ ch.kernel[x]
+    return ch.rows[x]
 
 
 def averaged_channel(ch: StateDMC) -> AveragedDMC:
-    rows = np.einsum("s,xsy->xy", ch.state_prior, ch.kernel)
-    return AveragedDMC(rows=rows)
+    return AveragedDMC(rows=ch.rows)
 
 
 def cumulative(p: np.ndarray) -> np.ndarray:
@@ -166,8 +171,7 @@ def sequence_log2_likelihood(ch: StateDMC, x_seq, y_seq) -> float:
     y_seq = np.asarray(y_seq, dtype=np.int64)
     if x_seq.shape != y_seq.shape:
         raise LengthMismatch("input and output sequences differ in length")
-    rows = averaged_channel(ch).rows
-    probs = rows[x_seq, y_seq]
+    probs = ch.rows[x_seq, y_seq]
     if (probs == 0).any():
         return float("-inf")
     return float(np.sum(np.log2(probs)))

@@ -18,10 +18,8 @@ import numpy as np
 
 from .capacity import (
     BoundParams,
-    det_capacity_distortion,
     det_feedback_capacity,
     image_size_bound,
-    rand_capacity_distortion,
     rand_feedback_capacity,
     rate_of_code,
     shannon_capacity_avg,
@@ -30,7 +28,6 @@ from .capacity import (
 from .channel import StateDMC, load_channel
 from .coding import build_id_code
 from .errors import (
-    AlphabetTooLarge,
     IdsenseError,
     InfeasibleDistortion,
     TooLargeToEnumerate,
@@ -121,6 +118,8 @@ def _parse_grid(grid: str) -> list[float]:
                 v += step
             return values
         values = [float(v) for v in grid.split(",") if v.strip() != ""]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("grid values must be finite")
         if not values or any(x > y for x, y in zip(values, values[1:])):
             raise ValueError("grid must be nonempty and ascending")
         return values
@@ -178,6 +177,19 @@ def _require(merged: dict, key: str):
     if merged.get(key) is None:
         _fail(EXIT_CONFIG, f"missing required parameter {key!r}")
     return merged[key]
+
+
+def _finite(merged: dict, key: str, default=None) -> float | None:
+    """merged[key] as a finite float, or the default when it is unset."""
+    if merged.get(key) is None:
+        return default
+    try:
+        value = float(merged[key])
+    except (TypeError, ValueError):
+        _fail(EXIT_CONFIG, f"{key} must be a number, got {merged[key]!r}")
+    if not math.isfinite(value):
+        _fail(EXIT_CONFIG, f"{key} must be finite, got {value}")
+    return value
 
 
 @click.group()
@@ -269,16 +281,16 @@ def estimate(channel, config, fmt, out, distortion, budget):
                      distortion=distortion, budget=budget)
     ch, inline = _resolve_channel(_require(merged, "channel"))
     dist = _resolve_distortion(merged.get("distortion"), ch, inline)
+    budget = _finite(merged, "budget")
     table = optimal_estimator(ch, dist)
     profile = distortion_profile(ch, dist).per_input
     report = {
         "estimator": table.h.tolist(),
         "profile": profile.tolist(),
     }
-    if merged.get("budget") is not None:
-        report["budget"] = float(merged["budget"])
-        report["feasible_inputs"] = sorted(
-            feasible_inputs(ch, dist, float(merged["budget"])))
+    if budget is not None:
+        report["budget"] = budget
+        report["feasible_inputs"] = sorted(feasible_inputs(ch, dist, budget))
     n_tables = ch.state_size ** (ch.input_size * ch.output_size)
     if n_tables <= ENUMERATION_GUARD:
         oracle_profile, oracle_table = brute_force_estimator_distortion(ch, dist)
@@ -322,14 +334,15 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
     n = int(_require(merged, "n"))
     identities = int(_require(merged, "identities"))
     colors = int(_require(merged, "colors"))
-    eps = float(merged.get("eps", 0.1))
+    eps = _finite(merged, "eps", 0.1)
     trials = int(merged.get("trials", 10_000))
     if trials < 1:
         _fail(EXIT_CONFIG, "trials must be >= 1")
     seed = int(merged.get("seed", 0))
     mode = merged.get("mode") or "det"
-    budget = float(merged["budget"]) if merged.get("budget") is not None else \
-        float(distortion_profile(ch, dist).per_input.max())
+    budget = _finite(merged, "budget")
+    if budget is None:
+        budget = float(distortion_profile(ch, dist).per_input.max())
     try:
         code = build_id_code(ch, dist, budget, n, identities, colors, eps,
                              mode, seed)
@@ -393,8 +406,9 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
                      distortion=distortion, budget=budget, n=n, eps=eps, mu=mu)
     ch, inline = _resolve_channel(_require(merged, "channel"))
     n = int(_require(merged, "n"))
-    eps = float(merged.get("eps", 0.1))
+    eps = _finite(merged, "eps", 0.1)
     mu = float(merged.get("mu", 0.5))
+    budget = _finite(merged, "budget")
     try:
         det = det_feedback_capacity(ch)
         params = BoundParams.for_channel(ch, n=n, mu=mu)
@@ -411,9 +425,8 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
         "image_size_log2_K1": image_size_bound(params, ch),
         "image_size_log2_K2": image_size_bound(params, ch, variant="K2"),
     }
-    if merged.get("budget") is not None:
+    if budget is not None:
         dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-        budget = float(merged["budget"])
         try:
             report["image_size_log2_K3"] = image_size_bound(
                 params, ch, dist, budget, variant="K3")

@@ -17,7 +17,12 @@ from itertools import product
 import numpy as np
 
 from .channel import AveragedDMC, StateDMC, averaged_channel, cumulative, sample_rows
-from .capacity import InputDistribution, blahut_arimoto, entropy
+from .capacity import (
+    InputDistribution,
+    blahut_arimoto,
+    det_capacity_distortion,
+    rand_capacity_distortion,
+)
 from .errors import (
     DegenerateCode,
     InfeasibleDistortion,
@@ -26,7 +31,7 @@ from .errors import (
     TooManyMessages,
     ZeroCapacityChannel,
 )
-from .estimation import FEASIBILITY_TOL, DistortionMatrix, distortion_profile
+from .estimation import DistortionMatrix, _feasible_inputs
 from .typicality import enumerate_blocks, marginal_typical_membership
 
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
@@ -357,23 +362,10 @@ def verify(code: IDFeedbackCode, claimed_identity: int, y_full) -> bool:
 
 # --- construction ------------------------------------------------------------
 
-def select_det_pilot(ch: StateDMC, dist: DistortionMatrix, budget: float) -> int:
-    """The budget-feasible input with the largest averaged-row entropy."""
-    profile = distortion_profile(ch, dist).per_input
-    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
-    if feasible.size == 0:
-        raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
-    rows = averaged_channel(ch).rows
-    entropies = [entropy(rows[x]) for x in feasible]
-    return int(feasible[int(np.argmax(entropies))])
-
-
 def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
                   identities: int, colors: int, eps: float, mode: str,
                   master_seed: int) -> IDFeedbackCode:
     """Assemble the concatenated feedback ID code for one budget."""
-    from .capacity import rand_capacity_distortion  # avoid import cycle at module load
-
     if mode not in ("det", "rand"):
         raise ValueError(f"unknown mode {mode!r}")
     if identities < 2:
@@ -382,25 +374,20 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
         raise DegenerateCode("pilot length must be >= 1")
     if not eps > 0:
         raise DegenerateCode(f"typicality radius eps must be > 0, got {eps}")
-    avg = averaged_channel(ch)
     k = math.ceil(math.sqrt(n))
-    profile = distortion_profile(ch, dist).per_input
-    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
-    if feasible.size == 0:
-        raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
+    _, feasible = _feasible_inputs(ch, dist, budget)
 
     if mode == "det":
-        pilot: int | InputDistribution = select_det_pilot(ch, dist, budget)
-        pilot_row = avg.rows[pilot].copy()
+        pilot: int | InputDistribution = det_capacity_distortion(ch, dist, budget).maximizer
+        pilot_row = ch.rows[pilot].copy()
         inner_support = [int(x) for x in feasible]
     else:
-        res = rand_capacity_distortion(ch, dist, budget)
-        pilot = res.maximizer
-        pilot_row = pilot.p @ avg.rows
+        pilot = rand_capacity_distortion(ch, dist, budget).maximizer
+        pilot_row = pilot.p @ ch.rows
         inner_support = [int(x) for x in np.flatnonzero(pilot.p > SUPPORT_TOL)]
 
     rng = np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, 0xC0DEB00C])
-    inner = build_transmission_code(avg, k, colors, inner_support, rng)
+    inner = build_transmission_code(averaged_channel(ch), k, colors, inner_support, rng)
     return IDFeedbackCode(mode=mode, n=n, m=n + k, eps=eps, pilot=pilot,
                           pilot_row=pilot_row, identity_count=identities,
                           color_count=colors, inner=inner,

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StateDMC, averaged_channel
+from .channel import StateDMC
 from .errors import (
     IdsenseError,
     IndexOutOfRange,
+    InfeasibleDistortion,
     LengthMismatch,
     NotADistribution,
     ZeroProbabilityObservation,
@@ -100,17 +101,18 @@ def posterior_cost(ch: StateDMC, dist: DistortionMatrix) -> np.ndarray:
     return np.einsum("s,xsy,st->xyt", ch.state_prior, ch.kernel, dist.d)
 
 
+def _min_cost_rule(ch: StateDMC, cost: np.ndarray) -> np.ndarray:
+    """argmin over s_hat of cost[x, y, s_hat]; unreachable pairs fixed to state 0."""
+    return np.where(ch.rows > 0, np.argmin(cost, axis=2), 0)
+
+
 def optimal_estimator(ch: StateDMC, dist: DistortionMatrix) -> EstimatorTable:
     """Minimum-posterior-cost rule; ties broken by lowest state index.
 
     Pairs (x, y) with P(y|x) = 0 are never reachable; their entry is fixed
     to state 0 and contributes nothing to any expectation.
     """
-    cost = posterior_cost(ch, dist)
-    h = np.argmin(cost, axis=2)
-    reachable = averaged_channel(ch).rows > 0
-    h = np.where(reachable, h, 0)
-    return EstimatorTable(h=h)
+    return EstimatorTable(h=_min_cost_rule(ch, posterior_cost(ch, dist)))
 
 
 def min_distortion_input(ch: StateDMC, dist: DistortionMatrix, x: int) -> float:
@@ -121,8 +123,8 @@ def min_distortion_input(ch: StateDMC, dist: DistortionMatrix, x: int) -> float:
 
 
 def distortion_profile(ch: StateDMC, dist: DistortionMatrix) -> DistortionProfile:
-    h = optimal_estimator(ch, dist).h
     cost = posterior_cost(ch, dist)
+    h = _min_cost_rule(ch, cost)
     per_input = np.take_along_axis(cost, h[:, :, None], axis=2)[:, :, 0].sum(axis=1)
     return DistortionProfile(per_input=per_input)
 
@@ -133,10 +135,22 @@ def min_distortion_dist(ch: StateDMC, dist: DistortionMatrix, p) -> float:
     return float(p @ distortion_profile(ch, dist).per_input)
 
 
+def _feasible_inputs(ch: StateDMC, dist: DistortionMatrix,
+                     budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d* profile, ascending inputs x with d*(x) <= D), or InfeasibleDistortion if none."""
+    profile = distortion_profile(ch, dist).per_input
+    feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
+    if feasible.size == 0:
+        raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
+    return profile, feasible
+
+
 def feasible_inputs(ch: StateDMC, dist: DistortionMatrix, budget: float) -> set[int]:
     """The input set {x : d*(x) <= D}; may be empty."""
-    profile = distortion_profile(ch, dist).per_input
-    return {int(x) for x in np.flatnonzero(profile <= budget + FEASIBILITY_TOL)}
+    try:
+        return {int(x) for x in _feasible_inputs(ch, dist, budget)[1]}
+    except InfeasibleDistortion:
+        return set()
 
 
 def feasible_distribution(ch: StateDMC, dist: DistortionMatrix, budget: float, p) -> bool:

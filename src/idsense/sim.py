@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import StateDMC, averaged_channel, cumulative, sample_rows, \
-    sample_state_sequence, transmit
+from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
 from .coding import ABORT_COLOR, IDFeedbackCode, confusion_matrix, encode_step, \
     feedback_update, initial_state, verify
 from .errors import AlphabetTooLarge, InfeasibleDistortion, TooLargeToEnumerate
@@ -329,7 +328,6 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
         raise AlphabetTooLarge("grid oracle supports |X| <= 3")
     if resolution > 400:
         raise AlphabetTooLarge("grid resolution capped at 400")
-    rows = averaged_channel(ch).rows
     grid = _simplex_grid(ch.input_size, resolution)
     if budget is not None:
         if dist is None:
@@ -338,7 +336,7 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
         if grid.size == 0:
             raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
-    mix = grid @ rows
+    mix = grid @ ch.rows
     with np.errstate(divide="ignore", invalid="ignore"):
         logmix = np.where(mix > 0, np.log2(np.maximum(mix, 1e-300)), 0.0)
     values = -(mix * logmix).sum(axis=1)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AveragedDMC, StateDMC, averaged_channel
+from .capacity import entropy
+from .channel import AveragedDMC, StateDMC
 from .errors import LengthMismatch, MissingRow, TooLargeToEnumerate
 from .estimation import _check_distribution
 
@@ -98,8 +99,7 @@ def typical_membership(ch: StateDMC, x_seq, y_seq, eps: float) -> bool:
         raise ValueError("eps must be >= 0")
     ctype = joint_type(x_seq, y_seq, input_size=ch.input_size,
                        output_size=ch.output_size)
-    rows = averaged_channel(ch).rows
-    return bool(counts_typical(ctype.counts, rows, eps).all())
+    return bool(counts_typical(ctype.counts, ch.rows, eps).all())
 
 
 def marginal_typical_membership(row: np.ndarray, y_seq, eps: float) -> bool:
@@ -137,13 +137,11 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
     n is log2 |T| >= log2 W^n(T|x^n) + n*(H - eps * sum_y |log2 w(y)|),
     since no member is more likely than 2^(-n*(H - eps * sum_y |log2 w(y)|)).
     """
-    from .capacity import entropy  # local import: capacity pulls estimation
-
     if n < 1:
         raise ValueError("n must be >= 1")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     if np.isscalar(pilot) or isinstance(pilot, (int, np.integer)):
         h = entropy(rows[int(pilot)])
     else:
@@ -183,7 +181,7 @@ def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ..
     x_seq = np.array([int(x) for x in x_seq], dtype=np.int64)
     if x_seq.size == 0:
         raise LengthMismatch("sequences must have length >= 1")
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     members = []
     for chunk in chunks(enumerate_blocks(ch.output_size, x_seq.size)):
         typical = np.ones(chunk.shape[0], dtype=bool)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ class TestTradeoffCommand:
             "tradeoff", "--channel", "sensor", "--grid", "0.6:0.1:0.1"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("grid", ["0:1:1e-9", "0:inf:1", "0:nan:0.1"])
+    @pytest.mark.parametrize("grid", ["0:1:1e-9", "0:inf:1", "0:nan:0.1",
+                                      "nan,0.5", "0.1,inf"])
     def test_oversized_grid_exit_2(self, runner, grid):
         # refused before any budget is built
         result = runner.invoke(main, [
@@ -99,6 +101,40 @@ def assert_config_error(result):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error:" in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate"],
+    ["simulate", "--n", "4", "--identities", "4", "--colors", "2", "--trials", "10"],
+    ["bounds", "--n", "8"],
+], ids=lambda command: command[0])
+def test_non_finite_budget_exit_2(runner, command):
+    # NaN compares false with every budget; it must not reach the JSON output
+    result = runner.invoke(main, [command[0], "--channel", "flip_bsc", "-D", "nan"]
+                           + command[1:])
+    assert_config_error(result)
+    assert "budget" in result.output
+
+
+# Each command's stdout, pinned byte for byte in tests/data/cli/<channel>.<name>:
+# a refactor may not move any artifact, not even by one ulp.
+PINNED = {
+    "capacity": ["capacity"],
+    "tradeoff.json": ["tradeoff", "--grid", "0:1:0.05", "--mode", "both"],
+    "tradeoff.csv": ["tradeoff", "--grid", "0:1:0.05", "--mode", "both", "--format", "csv"],
+    "estimate": ["estimate", "-D", "0.3"],
+    "bounds": ["bounds", "--n", "12", "--eps", "0.1", "-D", "0.45", "--distortion", "hamming"],
+}
+
+
+@pytest.mark.parametrize("channel", ["flip_bsc", "sensor"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_artifacts(runner, channel, name):
+    args = PINNED[name]
+    result = runner.invoke(main, [args[0], "--channel", channel] + args[1:])
+    assert result.exit_code == 0
+    expected = Path(__file__).parent / "data" / "cli" / f"{channel}.{name}"
+    assert result.stdout_bytes == expected.read_bytes()
 
 
 class TestEstimateCommand:
@@ -214,6 +250,12 @@ class TestBoundsCommand:
     def test_zero_eps_exit_2(self, runner):
         assert_config_error(runner.invoke(main, [
             "bounds", "--channel", "flip_bsc", "--n", "8", "--eps", "0"]))
+
+    def test_nan_eps_exit_2(self, runner):
+        result = runner.invoke(main, [
+            "bounds", "--channel", "flip_bsc", "--n", "8", "--eps", "nan"])
+        assert_config_error(result)
+        assert "eps" in result.output
 
     def test_bad_mu_exit_2(self, runner):
         result = runner.invoke(main, [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from idsense.capacity import det_capacity_distortion
 from idsense.channel import AveragedDMC, StateDMC, averaged_channel
 from idsense.coding import (
     ABORT_COLOR,
@@ -10,7 +11,6 @@ from idsense.coding import (
     encode_step,
     feedback_update,
     initial_state,
-    select_det_pilot,
     verify,
 )
 from idsense.errors import (
@@ -127,7 +127,7 @@ class TestTransmissionCode:
 
 class TestBuildIDCode:
     def test_sensor_det_pilot(self, sensor, ham2):
-        assert select_det_pilot(sensor, ham2, 0.3) == 0
+        assert det_capacity_distortion(sensor, ham2, 0.3).maximizer == 0
 
     def test_flip_rand_pilot(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
