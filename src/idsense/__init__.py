@@ -6,10 +6,7 @@ simulation/oracle harness validating them.
 """
 
 from .channel import (
-    AveragedDMC,
     StateDMC,
-    averaged_channel,
-    averaged_row,
     channel_from_dict,
     channel_to_dict,
     load_channel,

@@ -22,10 +22,8 @@ from .errors import (
     RowNotNormalized,
 )
 
-# Normalization is checked exactly at validation; derived quantities get a
-# little accumulation slack.
+# Normalization is checked exactly at validation.
 ROW_TOL = 1e-12
-DERIVED_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,30 +75,6 @@ class StateDMC:
         object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True, eq=False)
-class AveragedDMC:
-    """The averaged channel: rows[x] = E_S[W(.|x,S)]."""
-
-    rows: np.ndarray  # shape (X, Y)
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
-            raise DimensionMismatch("rows must be a 2-D table")
-        if (np.abs(rows.sum(axis=1) - 1.0) > DERIVED_TOL).any():
-            raise NotADistribution("averaged row does not sum to 1")
-        rows.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def input_size(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def output_size(self) -> int:
-        return self.rows.shape[1]
-
-
 def validate_channel(raw_kernel, raw_prior) -> StateDMC:
     """Build a StateDMC from nested numeric arrays, rejecting malformed input.
 
@@ -123,17 +97,6 @@ def validate_channel(raw_kernel, raw_prior) -> StateDMC:
                     kernel=kernel, state_prior=prior)
 
 
-def averaged_row(ch: StateDMC, x: int) -> np.ndarray:
-    """Return sum_s P_S(s) * W(.|x,s)."""
-    if not 0 <= x < ch.input_size:
-        raise IndexOutOfRange(f"input symbol {x} out of range")
-    return ch.rows[x]
-
-
-def averaged_channel(ch: StateDMC) -> AveragedDMC:
-    return AveragedDMC(rows=ch.rows)
-
-
 def cumulative(p: np.ndarray) -> np.ndarray:
     """Cumulative sums along the last axis, the last pinned to 1.0 for sampling."""
     cum = np.cumsum(p, axis=-1)
@@ -148,8 +111,7 @@ def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. states from the prior; deterministic given the rng state."""
-    return np.searchsorted(cumulative(ch.state_prior), rng.random(n),
-                           side="right").astype(np.int64)
+    return sample_rows(cumulative(ch.state_prior), rng.random(n))
 
 
 def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
@@ -158,7 +120,7 @@ def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
         raise IndexOutOfRange(f"input symbol {x} out of range")
     if not 0 <= s < ch.state_size:
         raise IndexOutOfRange(f"state symbol {s} out of range")
-    return int(np.searchsorted(cumulative(ch.kernel[x, s]), rng.random(), side="right"))
+    return int(sample_rows(cumulative(ch.kernel[x, s]), rng.random(1))[0])
 
 
 def sequence_log2_likelihood(ch: StateDMC, x_seq, y_seq) -> float:

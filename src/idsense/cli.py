@@ -192,6 +192,19 @@ def _finite(merged: dict, key: str, default=None) -> float | None:
     return value
 
 
+def _integer(merged: dict, key: str, default=None) -> int | None:
+    """merged[key] as an int, or the default when it is unset."""
+    value = merged.get(key)
+    if value is None:
+        return default
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        _fail(EXIT_CONFIG, f"{key} must be an integer, got {value!r}")
+
+
 @click.group()
 def main():
     """Identification capacities and codes for state-dependent channels."""
@@ -331,14 +344,16 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
         merged["exact"] = True
     ch, inline = _resolve_channel(_require(merged, "channel"))
     dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-    n = int(_require(merged, "n"))
-    identities = int(_require(merged, "identities"))
-    colors = int(_require(merged, "colors"))
+    for key in ("n", "identities", "colors"):
+        _require(merged, key)
+    n = _integer(merged, "n")
+    identities = _integer(merged, "identities")
+    colors = _integer(merged, "colors")
     eps = _finite(merged, "eps", 0.1)
-    trials = int(merged.get("trials", 10_000))
+    trials = _integer(merged, "trials", 10_000)
     if trials < 1:
         _fail(EXIT_CONFIG, "trials must be >= 1")
-    seed = int(merged.get("seed", 0))
+    seed = _integer(merged, "seed", 0)
     mode = merged.get("mode") or "det"
     budget = _finite(merged, "budget")
     if budget is None:
@@ -405,9 +420,10 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
     merged = _merged(_load_config(config), channel=channel, format=fmt, out=out,
                      distortion=distortion, budget=budget, n=n, eps=eps, mu=mu)
     ch, inline = _resolve_channel(_require(merged, "channel"))
-    n = int(_require(merged, "n"))
+    _require(merged, "n")
+    n = _integer(merged, "n")
     eps = _finite(merged, "eps", 0.1)
-    mu = float(merged.get("mu", 0.5))
+    mu = _finite(merged, "mu", 0.5)
     budget = _finite(merged, "budget")
     try:
         det = det_feedback_capacity(ch)

@@ -12,11 +12,10 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .channel import AveragedDMC, StateDMC, averaged_channel, cumulative, sample_rows
+from .channel import StateDMC, cumulative, sample_rows
 from .capacity import (
     InputDistribution,
     blahut_arimoto,
@@ -95,8 +94,8 @@ def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -
 class TransmissionCode:
     """An (k, M) code over the averaged channel with ML decoding.
 
-    `log_table[j, t, y]` caches log2 W_avg(y | u_j[t]) so scalar and
-    vectorized decoders share bit-identical likelihoods.
+    `log_table[j, t, y]` caches log2 W_avg(y | u_j[t]); every decoder sums
+    it through `_loglik`, so all of them see the same likelihoods.
     """
 
     k: int
@@ -112,8 +111,7 @@ class TransmissionCode:
         y_tail = np.asarray(y_tail, dtype=np.int64)
         if y_tail.shape != (self.k,):
             raise LengthMismatch(f"tail must have length {self.k}")
-        loglik = self.log_table[:, np.arange(self.k), y_tail].sum(axis=1)
-        return int(np.argmax(loglik)) + 1
+        return int(np.argmax(_loglik(self.log_table, y_tail[None])[:, 0])) + 1
 
 
 def _log_table(rows: np.ndarray, codewords) -> np.ndarray:
@@ -122,13 +120,21 @@ def _log_table(rows: np.ndarray, codewords) -> np.ndarray:
     return np.stack([logrows[np.asarray(cw)] for cw in codewords])
 
 
+def _loglik(table: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """ML scores, shape (M, tails): the sum of log2 W(y_t | u_j[t]), added in t order.
+
+    `table` is a `_log_table` of shape (M, k, Y); `tails` has shape (tails, k).
+    """
+    loglik = np.zeros((table.shape[0], tails.shape[0]))
+    for t in range(tails.shape[1]):
+        loglik += table[:, t, tails[:, t]]
+    return loglik
+
+
 def confusion_matrix(rows: np.ndarray, codewords) -> np.ndarray:
     """A[j, j'] = P(ML decode = j' | codeword u_j sent), by enumerating every tail."""
     tails = enumerate_blocks(rows.shape[1], len(codewords[0]))
-    table = _log_table(rows, codewords)
-    loglik = np.zeros((len(codewords), tails.shape[0]))
-    for t in range(tails.shape[1]):
-        loglik += table[:, t, tails[:, t]]
+    loglik = _loglik(_log_table(rows, codewords), tails)
     decoded = np.argmax(loglik, axis=0)
     lik = np.exp2(loglik)
     confusion = np.empty((len(codewords), len(codewords)))
@@ -150,10 +156,7 @@ def _mc_error_profile(rows: np.ndarray, codewords, rng: np.random.Generator,
     errors = np.empty(len(codewords))
     for j, cw in enumerate(codewords):
         y = sample_rows(cum[np.asarray(cw)], rng.random((trials, k)))
-        loglik = np.zeros((len(codewords), trials))
-        for t in range(k):
-            loglik += table[:, t, y[:, t]]
-        errors[j] = float(np.mean(np.argmax(loglik, axis=0) != j))
+        errors[j] = float(np.mean(np.argmax(_loglik(table, y), axis=0) != j))
     return errors
 
 
@@ -178,7 +181,7 @@ def _improve_codebook(rows: np.ndarray, codewords: list, candidates: list):
     return current, tuple(codewords)
 
 
-def build_transmission_code(avg: AveragedDMC, k: int, M: int, feasible,
+def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
                             rng: np.random.Generator,
                             restarts: int = 32) -> TransmissionCode:
     """Random codebook over the feasible inputs with ML decoding.
@@ -193,8 +196,7 @@ def build_transmission_code(avg: AveragedDMC, k: int, M: int, feasible,
     support = sorted(set(int(x) for x in feasible))
     if not support:
         raise InfeasibleDistortion(float("nan"))
-    sub_rows = avg.rows[support]
-    cap, p_opt, _ = blahut_arimoto(sub_rows, tol=1e-9)
+    cap, p_opt, _ = blahut_arimoto(ch.rows[support], tol=1e-9)
     if len(support) > 1 and cap <= 1e-9:
         raise ZeroCapacityChannel("restricted averaged channel has zero capacity")
     if len(support) == 1:
@@ -204,7 +206,7 @@ def build_transmission_code(avg: AveragedDMC, k: int, M: int, feasible,
     active = [support[i] for i in np.flatnonzero(p_opt)]
     weights = p_opt[p_opt > 0]
     distinct_available = len(active) ** k
-    exact = avg.rows.shape[1] ** k <= EXACT_ERROR_GUARD
+    exact = ch.output_size ** k <= EXACT_ERROR_GUARD
 
     best = None
     for _ in range(restarts):
@@ -219,10 +221,10 @@ def build_transmission_code(avg: AveragedDMC, k: int, M: int, feasible,
             codewords.append(cw)
             seen.add(cw)
         if exact:
-            errors = _exact_error_profile(avg.rows, codewords)
+            errors = _exact_error_profile(ch.rows, codewords)
             method = "exact"
         else:
-            errors = _mc_error_profile(avg.rows, codewords, rng)
+            errors = _mc_error_profile(ch.rows, codewords, rng)
             method = "monte-carlo"
         worst = float(errors.max())
         if best is None or worst < best[0]:
@@ -232,16 +234,16 @@ def build_transmission_code(avg: AveragedDMC, k: int, M: int, feasible,
 
     worst, codewords, method = best
     if exact and distinct_available <= 256 and worst > 0.0:
-        worst, codewords = _improve_codebook(avg.rows, list(codewords),
-                                             [tuple(c) for c in
-                                              product(active, repeat=k)])
+        candidates = np.array(active)[enumerate_blocks(len(active), k)]
+        worst, codewords = _improve_codebook(ch.rows, list(codewords),
+                                             list(map(tuple, candidates.tolist())))
     if worst >= 0.5:
         raise TooManyMessages(
             f"M={M} messages exceed what blocklength k={k} supports "
             f"(measured maximal error {worst:.3f})"
         )
-    return TransmissionCode(k=k, M=M, codewords=codewords, rows=avg.rows,
-                            log_table=_log_table(avg.rows, codewords),
+    return TransmissionCode(k=k, M=M, codewords=codewords, rows=ch.rows,
+                            log_table=_log_table(ch.rows, codewords),
                             max_error=worst, error_method=method)
 
 
@@ -325,7 +327,7 @@ def encode_step(code: IDFeedbackCode, state: EncoderState,
         if code.mode == "det":
             x = int(code.pilot)
         else:
-            x = int(np.searchsorted(cumulative(code.pilot.p), rng.random(), side="right"))
+            x = int(sample_rows(cumulative(code.pilot.p), rng.random(1))[0])
         return x, replace(state, t=t + 1)
     if state.committed is None:
         if len(state.y_pilot) != state.pilot_len:
@@ -387,7 +389,7 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
         inner_support = [int(x) for x in np.flatnonzero(pilot.p > SUPPORT_TOL)]
 
     rng = np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, 0xC0DEB00C])
-    inner = build_transmission_code(averaged_channel(ch), k, colors, inner_support, rng)
+    inner = build_transmission_code(ch, k, colors, inner_support, rng)
     return IDFeedbackCode(mode=mode, n=n, m=n + k, eps=eps, pilot=pilot,
                           pilot_row=pilot_row, identity_count=identities,
                           color_count=colors, inner=inner,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
-from .coding import ABORT_COLOR, IDFeedbackCode, confusion_matrix, encode_step, \
+from .coding import ABORT_COLOR, IDFeedbackCode, _loglik, confusion_matrix, encode_step, \
     feedback_update, initial_state, verify
 from .errors import AlphabetTooLarge, InfeasibleDistortion, TooLargeToEnumerate
 from .estimation import (
@@ -26,8 +26,7 @@ from .estimation import (
     optimal_estimator,
     posterior_cost,
 )
-from .typicality import ENUMERATION_GUARD, chunks, counts_typical, enumerate_blocks, \
-    symbol_counts
+from .typicality import chunks, counts_typical, enumerate_blocks, symbol_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,10 +164,7 @@ def _simulate_pair(code: IDFeedbackCode, ch: StateDMC, table: EstimatorTable,
     x_tail = codewords[sent_colors - 1]
     y_tail = sample_rows(cum_kernel[x_tail, states[:, n:]],
                          rng.random((trials, k)))
-    loglik = np.zeros((code.color_count, trials))
-    for t in range(k):
-        loglik += code.inner.log_table[:, t, y_tail[:, t]]
-    decoded = np.argmax(loglik, axis=0) + 1
+    decoded = np.argmax(_loglik(code.inner.log_table, y_tail), axis=0) + 1
 
     accept = typical & (decoded == tested_colors)
     x_full = np.concatenate([x_pilot, x_tail], axis=1)
@@ -260,9 +256,9 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
     the marginalization over pilot inputs collapses into the mixture output
     law because the verdict depends on the output block only.  Every sum
     runs in lexicographic block order; only typical blocks are colored.
+    The |Y|^n pilot blocks and the |Y|^k tails are enumerated, and so
+    guarded by `enumerate_blocks`, apart.
     """
-    if ch.output_size ** code.m > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate(f"|Y|^m = {ch.output_size}^{code.m} exceeds the guard")
     confusion = confusion_matrix(code.inner.rows, code.inner.codewords)
     row = code.pilot_row
     identities = sorted({i for i, _ in pairs} | {i for _, i in pairs})

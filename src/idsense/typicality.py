@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import entropy
-from .channel import AveragedDMC, StateDMC
+from .channel import StateDMC
 from .errors import LengthMismatch, MissingRow, TooLargeToEnumerate
 from .estimation import _check_distribution
 
@@ -59,7 +59,7 @@ def joint_type(x_seq, y_seq, input_size: int | None = None,
     return ConditionalType(counts=counts, V=V, present=present)
 
 
-def max_norm_distance(ctype: ConditionalType, avg: AveragedDMC, support) -> float:
+def max_norm_distance(ctype: ConditionalType, ch: StateDMC, support) -> float:
     """max over support inputs and outputs of |V(y|x) - W(y|x)|."""
     support = sorted(set(int(x) for x in support))
     if not support:
@@ -68,7 +68,7 @@ def max_norm_distance(ctype: ConditionalType, avg: AveragedDMC, support) -> floa
         if x >= ctype.present.size or not ctype.present[x]:
             raise MissingRow(f"conditional type has no row for input {x}")
     idx = np.array(support)
-    return float(np.abs(ctype.V[idx] - avg.rows[idx]).max())
+    return float(np.abs(ctype.V[idx] - ch.rows[idx]).max())
 
 
 def counts_typical(counts, rows, eps: float):

@@ -28,7 +28,7 @@ from idsense.capacity import (
     rate_of_code,
     tradeoff_curve,
 )
-from idsense.channel import StateDMC, averaged_channel, sequence_likelihood
+from idsense.channel import StateDMC, sequence_likelihood
 from idsense.cli import main as cli_main
 from idsense.coding import build_id_code
 from idsense.errors import InfeasibleDistortion
@@ -54,7 +54,7 @@ def _verdict(num: int, desc: str, ok: bool, detail: str = ""):
 
 def test_criterion_1_shannon_baseline():
     start = time.perf_counter()
-    cap, _, _ = blahut_arimoto(averaged_channel(flip_bsc()).rows, tol=1e-9)
+    cap, _, _ = blahut_arimoto(flip_bsc().rows, tol=1e-9)
     elapsed = time.perf_counter() - start
     ok = abs(cap - 0.531004) <= 1e-6 and elapsed < 1.0
     _verdict(1, "Shannon capacity of the averaged FlipBSC channel", ok,
@@ -242,7 +242,7 @@ def test_criterion_7_typicality_lemmas():
         # size sandwich (Lemma 2.13): no member is more likely than
         # 2^(-n(H - eps*kappa)), so log2|T| >= log2 W^n(T) + n(H - eps*kappa)
         # at every n; the upper exponent n(H + c(eps)) is checked as is
-        w = averaged_channel(ch).rows[pilot]
+        w = ch.rows[pilot]
         h = -float(np.sum(w * np.log2(w)))
         kappa = float(np.sum(np.abs(np.log2(w))))
         for n in (8, 12, 14):

@@ -28,7 +28,7 @@ from idsense.capacity import (
     shannon_capacity_avg,
     tradeoff_curve,
 )
-from idsense.channel import StateDMC, averaged_channel, sequence_likelihood
+from idsense.channel import StateDMC, sequence_likelihood
 from idsense.errors import (
     DegenerateCode,
     InfeasibleDistortion,
@@ -87,7 +87,7 @@ class TestShannon:
             for tol in (1e-6, 1e-9):
                 res = shannon_capacity_avg(ch, tol=tol)
                 assert 0.0 <= res.optimality_gap <= tol
-                rows = averaged_channel(ch).rows
+                rows = ch.rows
                 div = (rows * np.log2(rows / (res.maximizer.p @ rows))).sum(axis=1)
                 bounds_gap = div.max() - res.maximizer.p @ div
                 assert res.optimality_gap == pytest.approx(max(bounds_gap, 0.0), abs=1e-12)
@@ -103,7 +103,7 @@ class TestShannon:
         ch = random_channel(np.random.default_rng(seed), *shape)
         res = shannon_capacity_avg(ch)
         assert 0.0 <= res.optimality_gap <= 1e-9
-        rows = averaged_channel(ch).rows
+        rows = ch.rows
         div = (rows * np.log2(rows / (res.maximizer.p @ rows))).sum(axis=1)
         assert res.maximizer.p @ div - 1e-12 <= res.value <= div.max() + 1e-12
 
@@ -213,7 +213,7 @@ class TestCapacityDistortion:
 
 def reference_says_zero(ch) -> bool:
     """The zero-capacity decision of a full BA solve to ZERO_CAPACITY_TOL."""
-    cap, _, _ = blahut_arimoto(averaged_channel(ch).rows, tol=ZERO_CAPACITY_TOL)
+    cap, _, _ = blahut_arimoto(ch.rows, tol=ZERO_CAPACITY_TOL)
     return cap <= ZERO_CAPACITY_TOL
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,19 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idsense.capacity import InputDistribution
 from idsense.channel import (
     StateDMC,
-    averaged_channel,
-    averaged_row,
     channel_from_dict,
     channel_to_dict,
+    cumulative,
     load_channel,
+    sample_rows,
     sample_state_sequence,
     sequence_likelihood,
     sequence_log2_likelihood,
     transmit,
     validate_channel,
 )
+from idsense.coding import build_id_code, encode_step, initial_state
 from idsense.errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -56,26 +59,22 @@ class TestValidation:
 class TestAveraging:
     def test_single_state_equals_kernel_slice(self):
         ch = identity_channel()
-        assert np.array_equal(averaged_channel(ch).rows, ch.kernel[:, 0, :])
+        assert np.array_equal(ch.rows, ch.kernel[:, 0, :])
 
     def test_flip_bsc_rows(self, flip):
-        assert np.allclose(averaged_row(flip, 0), [0.9, 0.1], atol=1e-12)
-        assert np.allclose(averaged_row(flip, 1), [0.1, 0.9], atol=1e-12)
+        assert np.allclose(flip.rows[0], [0.9, 0.1], atol=1e-12)
+        assert np.allclose(flip.rows[1], [0.1, 0.9], atol=1e-12)
 
     def test_sensor_rows(self, sensor):
-        rows = averaged_channel(sensor).rows
+        rows = sensor.rows
         assert np.allclose(rows, [[0.5, 0.5], [0.0, 1.0]], atol=1e-12)
-
-    def test_out_of_range(self, flip):
-        with pytest.raises(IndexOutOfRange):
-            averaged_row(flip, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), nx=st.integers(1, 4),
            ny=st.integers(1, 4), ns=st.integers(1, 3))
     def test_rows_normalized(self, seed, nx, ny, ns):
         ch = random_channel(np.random.default_rng(seed), nx, ny, ns)
-        rows = averaged_channel(ch).rows
+        rows = ch.rows
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -104,6 +103,13 @@ class TestSampling:
         rng = np.random.default_rng(2)
         flips = sum(transmit(flip, 0, 0, rng) for _ in range(10**5))
         assert abs(flips / 10**5 - 0.05) <= 3 * np.sqrt(0.05 * 0.95 / 10**5)
+
+    def test_transmit_out_of_range(self, flip):
+        rng = np.random.default_rng(0)
+        with pytest.raises(IndexOutOfRange):
+            transmit(flip, 2, 0, rng)
+        with pytest.raises(IndexOutOfRange):
+            transmit(flip, 0, 2, rng)
 
     def test_transmit_seed_determinism(self, flip):
         a = transmit(flip, 0, 1, np.random.default_rng(3))
@@ -164,3 +170,54 @@ class TestSerialization:
         ch, dist = load_channel(path)
         assert ch.input_size == 2
         assert np.array_equal(dist, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def searchsorted_draw(p, u):
+    """The draw `sample_rows` replaced in transmit, the state sampler and the rand pilot."""
+    return np.searchsorted(cumulative(p), u, side="right")
+
+
+def sparse_rows(rng, shape):
+    """Random distributions on the last axis, with many entries exactly zero."""
+    p = rng.random(shape) * (rng.random(shape) < 0.6)
+    p[..., int(rng.integers(shape[-1]))] += 0.1
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+class TestSearchsortedReference:
+    """The one sampler, `sample_rows`, draws what searchsorted(side="right") drew."""
+
+    def test_sample_rows_on_boundaries(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            p = sparse_rows(rng, (int(rng.integers(1, 7)),))
+            cum = cumulative(p)
+            # u exactly on each cumulative boundary inside [0, 1), one ulp below it, and 0
+            edges = cum[cum < 1.0]
+            u = np.concatenate([rng.random(2000), edges, np.nextafter(edges, 0), [0.0]])
+            assert np.array_equal(sample_rows(cum, u), searchsorted_draw(p, u))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transmit_and_states(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = StateDMC(3, 4, 3, sparse_rows(rng, (3, 3, 4)), sparse_rows(rng, (3,)))
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        states = sample_state_sequence(ch, 500, ours)
+        assert states.dtype == np.int64
+        assert np.array_equal(states, searchsorted_draw(ch.state_prior, ref.random(500)))
+        for x, s in np.ndindex(3, 3):
+            for _ in range(100):
+                assert transmit(ch, x, s, ours) == searchsorted_draw(ch.kernel[x, s], ref.random())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rand_pilot(self, flip, ham2, seed):
+        rng = np.random.default_rng(seed)
+        code = build_id_code(flip, ham2, 0.45, n=100, identities=4, colors=2, eps=0.3,
+                             mode="rand", master_seed=seed)
+        # the pilot law only drives the draw; sparse over 6 symbols here
+        code = dataclasses.replace(code, pilot=InputDistribution(sparse_rows(rng, (6,))))
+        state = initial_state(code, 1)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(code.n):
+            x, state = encode_step(code, state, ours)
+            assert x == searchsorted_draw(code.pilot.p, ref.random())

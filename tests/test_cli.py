@@ -116,6 +116,25 @@ def test_non_finite_budget_exit_2(runner, command):
     assert "budget" in result.output
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "n", "four"),
+    ("simulate", "identities", "four"),
+    ("simulate", "colors", 2.5),
+    ("simulate", "trials", "ten"),
+    pytest.param("simulate", "seed", [1], id="simulate-seed-list"),
+    ("bounds", "n", "four"),
+    ("bounds", "mu", "half"),
+])
+def test_non_numeric_setting_exit_2(runner, tmp_path, command, key, value):
+    config = {"channel": "flip_bsc", "n": 4, "identities": 4, "colors": 2,
+              "trials": 10, key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, [command, "--config", str(path)])
+    assert_config_error(result)
+    assert key in result.output
+
+
 # Each command's stdout, pinned byte for byte in tests/data/cli/<channel>.<name>:
 # a refactor may not move any artifact, not even by one ulp.
 PINNED = {
@@ -125,12 +144,26 @@ PINNED = {
     "estimate": ["estimate", "-D", "0.3"],
     "bounds": ["bounds", "--n", "12", "--eps", "0.1", "-D", "0.45", "--distortion", "hamming"],
 }
+# simulate runs a code built for one channel's budget, so its cases are per
+# channel; Sensor has no rand case (its rand pilot has a single input).
+_SIMULATE = ["--identities", "4", "--eps", "0.3", "--trials", "2000", "--seed", "1", "--exact"]
+PINNED_PER_CHANNEL = {
+    ("flip_bsc", "simulate.det"): ["simulate", "-D", "0.45", "--n", "9", "--colors", "3",
+                                   "--mode", "det"] + _SIMULATE,
+    ("flip_bsc", "simulate.rand"): ["simulate", "-D", "0.45", "--n", "9", "--colors", "3",
+                                    "--mode", "rand"] + _SIMULATE,
+    ("sensor", "simulate.det"): ["simulate", "-D", "0.5", "--n", "4", "--colors", "2",
+                                 "--mode", "det"] + _SIMULATE,
+}
+PINNED_CASES = sorted(
+    [(channel, name, args) for name, args in PINNED.items() for channel in ("flip_bsc", "sensor")]
+    + [(channel, name, args) for (channel, name), args in PINNED_PER_CHANNEL.items()])
 
 
-@pytest.mark.parametrize("channel", ["flip_bsc", "sensor"])
-@pytest.mark.parametrize("name", sorted(PINNED))
-def test_pinned_artifacts(runner, channel, name):
-    args = PINNED[name]
+@pytest.mark.parametrize("channel,name,args", [
+    pytest.param(channel, name, args, id=f"{name}-{channel}")
+    for channel, name, args in PINNED_CASES])
+def test_pinned_artifacts(runner, channel, name, args):
     result = runner.invoke(main, [args[0], "--channel", channel] + args[1:])
     assert result.exit_code == 0
     expected = Path(__file__).parent / "data" / "cli" / f"{channel}.{name}"
@@ -202,6 +235,20 @@ class TestSimulateCommand:
     def test_zero_trials_exit_2(self, runner):
         args = [a if a != "300" else "0" for a in self.ARGS]
         assert_config_error(runner.invoke(main, args))
+
+    def test_exact_pilot_guarded_apart_from_tail(self, runner):
+        # m = 17 + 5: 2^17 pilot blocks and 2^5 tails, each within the guard
+        result = runner.invoke(main, [
+            "simulate", "--channel", "flip_bsc", "-D", "0.45", "--n", "17",
+            "--identities", "4", "--colors", "4", "--eps", "0.3",
+            "--trials", "2000", "--seed", "3", "--exact"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        for measured, exact in ((data["lambda1_per_identity"], data["exact_lambda1"]),
+                                (data["lambda2_per_pair"], data["exact_lambda2"])):
+            assert measured.keys() == exact.keys()
+            for key, p in exact.items():
+                assert abs(measured[key] - p) <= 4 * np.sqrt(p * (1 - p) / 2000), key
 
     def test_exact_guard_exit_4(self, runner):
         result = runner.invoke(main, [

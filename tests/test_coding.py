@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from idsense.capacity import det_capacity_distortion
-from idsense.channel import AveragedDMC, StateDMC, averaged_channel
+from idsense.channel import StateDMC
 from idsense.coding import (
     ABORT_COLOR,
+    _loglik,
     build_id_code,
     build_transmission_code,
     coloring_value,
@@ -21,11 +22,11 @@ from idsense.errors import (
     ZeroCapacityChannel,
 )
 from idsense.estimation import hamming_distortion
-from idsense.typicality import enumerate_typical_set
+from idsense.typicality import enumerate_blocks, enumerate_typical_set
 
 
 def noiseless_binary():
-    return AveragedDMC(rows=np.eye(2))
+    return StateDMC(2, 2, 1, np.eye(2)[:, None, :], np.array([1.0]))
 
 
 def pilot_plus_noiseless():
@@ -98,14 +99,14 @@ class TestTransmissionCode:
 
     def test_flip_k8_m2(self, flip):
         rng = np.random.default_rng(2)
-        code = build_transmission_code(averaged_channel(flip), 8, 2, {0, 1}, rng)
+        code = build_transmission_code(flip, 8, 2, {0, 1}, rng)
         assert code.error_method == "exact"
         assert code.max_error < 0.2
 
     def test_decoding_regions_partition(self, flip):
         from itertools import product
         rng = np.random.default_rng(3)
-        code = build_transmission_code(averaged_channel(flip), 2, 4, {0, 1}, rng)
+        code = build_transmission_code(flip, 2, 4, {0, 1}, rng)
         decoded = [code.decode(list(y)) for y in product(range(2), repeat=2)]
         assert all(1 <= j <= 4 for j in decoded)
 
@@ -123,6 +124,23 @@ class TestTransmissionCode:
         with pytest.raises(DegenerateCode):
             build_transmission_code(noiseless_binary(), 2, 1, {0, 1},
                                     np.random.default_rng(6))
+
+
+class TestLoglikReference:
+    """`decode` scores through `_loglik`, the scorer of every batched decoder."""
+
+    # criterion 8's n = 16 code (k = 4) and its n = 9 code (k = 3)
+    @pytest.mark.parametrize("n,identities,colors,master_seed",
+                             [(16, 2 ** 512, 5, 9), (9, 2 ** 16, 4, 22)])
+    def test_decode_every_tail(self, flip, ham2, n, identities, colors, master_seed):
+        inner = build_id_code(flip, ham2, 0.45, n=n, identities=identities, colors=colors,
+                              eps=0.3, mode="det", master_seed=master_seed).inner
+        tails = enumerate_blocks(flip.output_size, inner.k)
+        batched = np.argmax(_loglik(inner.log_table, tails), axis=0) + 1
+        # the scalar decoder's former score: one ndarray.sum per tail
+        summed = [int(np.argmax(inner.log_table[:, np.arange(inner.k), tail].sum(axis=1))) + 1
+                  for tail in tails.astype(np.int64)]
+        assert [inner.decode(tail) for tail in tails] == batched.tolist() == summed
 
 
 class TestBuildIDCode:

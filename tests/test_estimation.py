@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsense.channel import StateDMC, averaged_channel
+from idsense.channel import StateDMC
 from idsense.errors import (
     IndexOutOfRange,
     LengthMismatch,
@@ -129,7 +129,7 @@ class TestProfiles:
         # with Hamming distortion d*(x) = sum_y P(y|x) (1 - max_s P(s|x,y))
         ch = random_channel(np.random.default_rng(seed), 2, 3, 3)
         dist = hamming_distortion(3)
-        rows = averaged_channel(ch).rows
+        rows = ch.rows
         for x in range(2):
             expected = sum(rows[x, y] * (1.0 - posterior_state(ch, x, y).max())
                            for y in range(3) if rows[x, y] > 0)

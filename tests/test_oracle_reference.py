@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from idsense import fixtures
-from idsense.channel import averaged_channel
 from idsense.coding import build_id_code
 from idsense.errors import InfeasibleDistortion, TooLargeToEnumerate
 from idsense.estimation import (
@@ -88,7 +87,7 @@ def reference_grid(ch, dist=None, budget=None, resolution=200):
             for j in range(resolution - i + 1):
                 yield np.array([i, j, resolution - i - j]) / resolution
 
-    rows = averaged_channel(ch).rows
+    rows = ch.rows
     grid = np.array(list(simplex_grid(ch.input_size)))
     if budget is not None:
         profile = distortion_profile(ch, dist).per_input

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsense.channel import averaged_channel, cumulative, sample_rows, \
+from idsense.channel import cumulative, sample_rows, \
     sample_state_sequence, sequence_likelihood
 from idsense.coding import build_id_code
 from idsense.errors import LengthMismatch, MissingRow, TooLargeToEnumerate
@@ -51,22 +51,20 @@ class TestJointType:
 
 class TestMaxNorm:
     def test_zero_at_match(self, flip):
-        avg = averaged_channel(flip)
         # a type exactly equal to the rows (rows are multiples of 1/10)
         x = [0] * 10
         y = [0] * 9 + [1]
         t = joint_type(x, y, input_size=2, output_size=2)
-        assert max_norm_distance(t, avg, {0}) == pytest.approx(0.0, abs=1e-12)
+        assert max_norm_distance(t, flip, {0}) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_letter(self, flip):
         t = joint_type([0], [0], input_size=2, output_size=2)
-        avg = averaged_channel(flip)
-        assert max_norm_distance(t, avg, {0}) == pytest.approx(0.1, abs=1e-12)
+        assert max_norm_distance(t, flip, {0}) == pytest.approx(0.1, abs=1e-12)
 
     def test_missing_row(self, flip):
         t = joint_type([0], [0], input_size=2, output_size=2)
         with pytest.raises(MissingRow):
-            max_norm_distance(t, averaged_channel(flip), {1})
+            max_norm_distance(t, flip, {1})
 
 
 class TestMembership:
@@ -120,7 +118,7 @@ class TestClosedBoundary:
 
     def test_one_count_outside_ball(self, flip):
         # n = 10, eps = 0.1: the ball is 8 <= N(0) <= 10
-        x, row = [0] * 10, averaged_channel(flip).rows[0]
+        x, row = [0] * 10, flip.rows[0]
         inside, outside = [0] * 8 + [1] * 2, [0] * 7 + [1] * 3
         assert typical_membership(flip, x, inside, 0.1)
         assert not typical_membership(flip, x, outside, 0.1)
