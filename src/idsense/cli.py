@@ -3,11 +3,12 @@
 Every command is deterministic given (config, seed) and emits byte-identical
 artifacts on re-runs.  Exit codes: 0 success, 2 config or validation error,
 3 infeasible budget or zero-capacity channel, 4 oracle guard breach when an
-exact cross-check was demanded.
+exact cross-check was demanded, 5 a solver that did not converge.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from .coding import build_id_code
 from .errors import (
     IdsenseError,
     InfeasibleDistortion,
+    NoConvergence,
     TooLargeToEnumerate,
     ZeroCapacityChannel,
 )
@@ -52,6 +54,7 @@ from .typicality import ENUMERATION_GUARD, typical_size_bounds
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
+EXIT_SOLVER = 5
 # An a:b:step grid is refused above this many points, before any is built.
 MAX_GRID_POINTS = 10_000
 
@@ -219,9 +222,17 @@ _common = [
 
 
 def _with_common(fn):
+    """The shared options, and exit code 5 for a solver that did not converge."""
+    @functools.wraps(fn)
+    def command(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except NoConvergence as exc:
+            _fail(EXIT_SOLVER, str(exc))
+
     for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+        command = opt(command)
+    return command
 
 
 @main.command()
@@ -365,6 +376,8 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
         _fail(EXIT_INFEASIBLE, str(exc))
     except ZeroCapacityChannel as exc:
         _fail(EXIT_INFEASIBLE, str(exc))
+    except NoConvergence:
+        raise                               # exit 5, from _with_common
     except IdsenseError as exc:
         _fail(EXIT_CONFIG, str(exc))
 

@@ -125,40 +125,62 @@ def _pair_seed(seed: int, i: int, i_prime: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _colors_for(code: IDFeedbackCode, identity: int,
-                pilots: np.ndarray) -> np.ndarray:
-    """Coloring values per trial, computed once per distinct pilot block."""
-    uniq, inverse = np.unique(pilots, axis=0, return_inverse=True)
-    values = np.array([code.coloring(identity, row) for row in uniq],
-                      dtype=np.int64)
-    return values[inverse]
+def _block_keys(blocks: np.ndarray, size: int) -> np.ndarray:
+    """One key per row: its base-`size` value, or its bytes if size^n >= 2^63."""
+    n = blocks.shape[1]
+    if size ** n < 2 ** 63:
+        return blocks @ size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = np.ascontiguousarray(blocks)
+    return rows.view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
 
 
-def _simulate_pair(code: IDFeedbackCode, ch: StateDMC, table: EstimatorTable,
-                   dist: DistortionMatrix, identity: int, tested_identity: int,
-                   trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _colors_for(code: IDFeedbackCode, identity: int, pilots: np.ndarray,
+                cache: dict) -> np.ndarray:
+    """Coloring values per trial, one `code.coloring` call per distinct pilot block.
+
+    `cache` maps identity -> {block key: color}; shared by the pairs of one
+    `monte_carlo` call, it colors an identity's block once across them.
+    """
+    keys = _block_keys(pilots, code.pilot_row.shape[0])
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    uniq = uniq.tolist()
+    known = cache.setdefault(identity, {})
+    for key, i in zip(uniq, first.tolist()):
+        if key not in known:
+            known[key] = code.coloring(identity, pilots[i])
+    return np.array([known[key] for key in uniq], dtype=np.int64)[inverse]
+
+
+def _simulate_pair(code: IDFeedbackCode, table: EstimatorTable, dist: DistortionMatrix,
+                   cums: tuple, identity: int, tested_identity: int,
+                   trials: int, seed: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """All trials of one ordered pair at once.
 
-    Returns (accept flags, per-trial per-symbol distortions).
+    `cums` holds the cumulative state prior, kernel and (rand) pilot law;
+    `cache` is `_colors_for`'s.  Returns (accept flags, per-trial per-symbol
+    distortions).
     """
     rng = np.random.default_rng(seed)
     n, m, k = code.n, code.m, code.inner.k
-    states = sample_rows(cumulative(ch.state_prior), rng.random((trials, m)))
+    cum_prior, cum_kernel, cum_pilot = cums
+    states = sample_rows(cum_prior, rng.random((trials, m)))
 
-    cum_kernel = cumulative(ch.kernel)
     if code.mode == "det":
         x_pilot = np.full((trials, n), int(code.pilot), dtype=np.int64)
     else:
-        x_pilot = sample_rows(cumulative(code.pilot.p), rng.random((trials, n)))
+        x_pilot = sample_rows(cum_pilot, rng.random((trials, n)))
     y_pilot = sample_rows(cum_kernel[x_pilot, states[:, :n]],
                           rng.random((trials, n)))
+    output_size = cum_kernel.shape[-1]
+    if output_size <= 256:
+        y_pilot = y_pilot.astype(np.uint8)
 
-    typical = counts_typical(symbol_counts(y_pilot, ch.output_size), code.pilot_row, code.eps)
+    typical = counts_typical(symbol_counts(y_pilot, output_size), code.pilot_row, code.eps)
 
-    colors = _colors_for(code, identity, y_pilot)
+    colors = _colors_for(code, identity, y_pilot, cache)
     sent_colors = np.where(typical, colors, ABORT_COLOR)
     tested_colors = (colors if tested_identity == identity
-                     else _colors_for(code, tested_identity, y_pilot))
+                     else _colors_for(code, tested_identity, y_pilot, cache))
 
     codewords = np.array(code.inner.codewords, dtype=np.int64)
     x_tail = codewords[sent_colors - 1]
@@ -215,9 +237,12 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     dist_sqsum = np.zeros(code.m)
     total_trials = trials_per_pair * (len(identities) + len(pairs))
     lambda1, lambda2 = {}, {}
+    cums = (cumulative(ch.state_prior), cumulative(ch.kernel),
+            None if code.mode == "det" else cumulative(code.pilot.p))
+    cache: dict = {}
     for (a, b) in [(i, i) for i in identities] + list(pairs):
-        accept, dvals = _simulate_pair(code, ch, table, dist, a, b,
-                                       trials_per_pair, _pair_seed(seed, a, b))
+        accept, dvals = _simulate_pair(code, table, dist, cums, a, b, trials_per_pair,
+                                       _pair_seed(seed, a, b), cache)
         if a == b:
             lambda1[a] = float(1.0 - accept.mean())
         else:

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from idsense.channel import channel_to_dict
 from idsense.cli import main
+from idsense.errors import NoConvergence
 from idsense.fixtures import flip_bsc, fixture_path
 
 
@@ -133,6 +134,31 @@ def test_non_numeric_setting_exit_2(runner, tmp_path, command, key, value):
     result = runner.invoke(main, [command, "--config", str(path)])
     assert_config_error(result)
     assert key in result.output
+
+
+def _no_convergence(*args, **kwargs):
+    raise NoConvergence(100000, 7.8e-9)
+
+
+# A solver that gives up is neither a bad configuration nor a traceback: each
+# command's first solve, and the solve behind `bounds`' K2 cap, which runs
+# after the first one has returned.
+@pytest.mark.parametrize("target,command", [
+    ("idsense.cli.shannon_capacity_avg", ["capacity"]),
+    ("idsense.cli.tradeoff_curve", ["tradeoff", "--grid", "0.3,0.45"]),
+    ("idsense.cli.build_id_code", ["simulate", "--n", "4", "--identities", "4",
+                                   "--colors", "2", "--trials", "10"]),
+    ("idsense.cli.det_feedback_capacity", ["bounds", "--n", "8"]),
+    ("idsense.capacity.rand_feedback_capacity", ["bounds", "--n", "8"]),
+], ids=["capacity", "tradeoff", "simulate", "bounds", "bounds-K2"])
+def test_no_convergence_exit_5(runner, monkeypatch, target, command):
+    monkeypatch.setattr(target, _no_convergence)
+    result = runner.invoke(main, [command[0], "--channel", "flip_bsc"] + command[1:])
+    assert result.exit_code == 5
+    assert isinstance(result.exception, SystemExit)
+    assert ("error: no convergence after 100000 iterations (remaining gap 7.800e-09)"
+            in result.output)
+    assert "Traceback" not in result.output
 
 
 # Each command's stdout, pinned byte for byte in tests/data/cli/<channel>.<name>:

@@ -3,9 +3,11 @@
 Each reference below walks `itertools.product` one block (or table, or grid
 point) at a time, in the order and with the float operations of the original
 implementation.  The vectorized oracles must return `==`-identical values,
-not merely close ones.
+not merely close ones.  The Monte Carlo harness's keyed pilot coloring is
+held to the same standard against the row sort it replaces.
 """
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -22,6 +24,7 @@ from idsense.estimation import (
     posterior_cost,
 )
 from idsense.sim import (
+    _colors_for,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     grid_capacity_oracle,
@@ -67,6 +70,12 @@ def reference_exact(code, ch, pairs):
     for i in identities:
         lambda1[i] += atypical_mass
     return {"lambda1": lambda1, "lambda2": lambda2, "atypical_mass": atypical_mass}
+
+
+def reference_colors_for(code, identity, pilots):
+    uniq, inverse = np.unique(pilots, axis=0, return_inverse=True)
+    values = np.array([code.coloring(identity, row) for row in uniq], dtype=np.int64)
+    return values[inverse]
 
 
 def reference_typical_set(ch, x_seq, eps):
@@ -172,6 +181,52 @@ class TestExactErrorProbabilities:
         assert len(members) == 9
         mass = sum(float(np.prod(code.pilot_row[list(y)])) for y in members)
         assert result["atypical_mass"] == pytest.approx(1.0 - mass, abs=1e-12)
+
+
+class TestKeyedColoring:
+    """Integer keys (or row bytes once |Y|^n >= 2^63) against the row sort."""
+
+    @staticmethod
+    def code_for(size, flip, ham2):
+        code = build_id_code(flip, ham2, 0.45, n=16, identities=16, colors=5,
+                             eps=0.3, mode="det", master_seed=3)
+        return dataclasses.replace(code, pilot_row=np.full(size, 1.0 / size))
+
+    @staticmethod
+    def blocks(rng, size, n, dtype):
+        pool = rng.integers(0, size, (300, n))
+        return pool[rng.integers(0, len(pool), 1000)].astype(dtype)
+
+    @pytest.mark.parametrize("size,n", [(2, 1), (2, 4), (2, 16), (2, 62), (2, 63), (2, 64),
+                                        (3, 39), (3, 40), (300, 3), (300, 8)])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_matches_row_unique(self, flip, ham2, size, n, dtype):
+        if size > 256 and dtype == np.uint8:
+            dtype = np.uint16
+        code = self.code_for(size, flip, ham2)
+        pilots = self.blocks(np.random.default_rng([size, n]), size, n, dtype)
+        for identity in (1, 7, 16):
+            colors = _colors_for(code, identity, pilots, {})
+            assert colors.dtype == np.int64
+            assert (colors == reference_colors_for(code, identity, pilots)).all()
+
+    @pytest.mark.parametrize("size,n", [(2, 16), (3, 40), (300, 3)])
+    def test_shared_cache(self, flip, ham2, size, n):
+        code = self.code_for(size, flip, ham2)
+        rng = np.random.default_rng(n)
+        dtype = np.uint8 if size <= 256 else np.int64
+        calls = [self.blocks(rng, size, n, dtype) for _ in range(4)]
+        cache = {}
+        for pilots in calls:
+            for identity in (2, 9, 16):
+                assert (_colors_for(code, identity, pilots, cache)
+                        == reference_colors_for(code, identity, pilots)).all()
+        assert sorted(cache) == [2, 9, 16]
+        # every block is now cached: a code that refuses to color still answers
+        refusing = dataclasses.replace(code, identity_count=0)
+        for pilots in calls:
+            assert (_colors_for(refusing, 9, pilots, cache)
+                    == reference_colors_for(code, 9, pilots)).all()
 
 
 class TestTypicalSet:

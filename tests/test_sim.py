@@ -1,8 +1,11 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from idsense import fixtures
 from idsense.channel import StateDMC
 from idsense.coding import IDFeedbackCode, build_id_code, coloring_value
 from idsense.errors import AlphabetTooLarge, TooLargeToEnumerate
@@ -114,6 +117,38 @@ class TestMonteCarlo:
         assert len(report.identities) == 8
         assert len(report.pairs) == 16
         assert all(1 <= i <= 2 ** 40 for i in report.identities)
+
+
+# The three `monte_carlo` configurations of the benchmark, on FlipBSC at
+# budget 0.45 and eps 0.3, with a few hundred trials per pair.  Each samples
+# 8 identities and 16 ordered pairs, so an identity is colored in several
+# pairs.  Each report's JSON is pinned byte for byte in
+# tests/data/sim/<name>.json: a change to the sampler or the coloring may not
+# move any figure, not even by one ulp.
+PINNED_REPORTS = {
+    "flip_det_n4": dict(n=4, identities=16, colors=4, mode="det", master_seed=31,
+                        trials=400, seed=5),
+    "flip_rand_n4": dict(n=4, identities=16, colors=4, mode="rand", master_seed=32,
+                         trials=400, seed=6),
+    "flip_det_n16": dict(n=16, identities=2 ** 512, colors=5, mode="det", master_seed=9,
+                         trials=300, seed=7),
+}
+PINNED_DIR = Path(__file__).parent / "data" / "sim"
+
+
+def pinned_report(name: str) -> bytes:
+    """The JSON of one pinned configuration's `SimReport.to_dict()`."""
+    cfg = dict(PINNED_REPORTS[name])
+    trials, seed = cfg.pop("trials"), cfg.pop("seed")
+    flip, ham = fixtures.flip_bsc(), hamming_distortion(2)
+    code = build_id_code(flip, ham, 0.45, eps=0.3, **cfg)
+    report = monte_carlo(code, flip, ham, trials, seed=seed)
+    return (json.dumps(report.to_dict(), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_pinned_report(name):
+    assert pinned_report(name) == (PINNED_DIR / f"{name}.json").read_bytes()
 
 
 class TestExactOracle:
