@@ -62,6 +62,7 @@ from .coding import (
     build_id_code,
     build_transmission_code,
     coloring_value,
+    coloring_values,
     encode_step,
     feedback_update,
     initial_state,

@@ -36,6 +36,7 @@ from .typicality import enumerate_blocks, marginal_typical_membership
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
 SUPPORT_TOL = 1e-9
+COLORING_BATCH_ROWS = 1024    # rows hashed together; bounds the transient digests
 
 
 # --- keyed pseudorandom coloring --------------------------------------------
@@ -72,12 +73,18 @@ def _payload(y_pilot) -> bytes:
     return len(symbols).to_bytes(4, "big") + b"".join(y.to_bytes(8, "big") for y in symbols)
 
 
+def _require_color_count(color_count: int, limit: int) -> None:
+    if not 1 <= color_count <= limit:
+        raise DegenerateCode(f"color count must be in 1..{limit}, got {color_count}")
+
+
 def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -> int:
-    """Pseudorandom color of (identity, pilot block) in {1..M}.
+    """Pseudorandom color of (identity, pilot block) in {1..M}, for 1 <= M <= 2^64.
 
     Rejection sampling removes the modulo bias; sender and receiver share
     only the master seed.
     """
+    _require_color_count(color_count, 2 ** 64)
     payload = _payload(y_pilot)
     bound = (2 ** 64 // color_count) * color_count
     counter = 0
@@ -86,6 +93,43 @@ def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -
         counter += 1
         value = _prf_u64(master_seed, identity, payload, counter)
     return value % color_count + 1
+
+
+def coloring_values(master_seed: int, color_count: int, identity: int,
+                    blocks: np.ndarray) -> np.ndarray:
+    """`coloring_value` of every row of `blocks`, as int64, for 1 <= M < 2^63.
+
+    Rows are hashed COLORING_BATCH_ROWS at a time from one state that has
+    absorbed the identity and counter 0.  A row that needs a redraw, or whose
+    symbols are not all in 0..255 (a wide payload), goes through
+    `coloring_value`.
+    """
+    _require_color_count(color_count, 2 ** 63 - 1)
+    blocks = np.asarray(blocks)
+    colors = np.empty(blocks.shape[0], dtype=np.int64)
+    bound = (2 ** 64 // color_count) * color_count
+    state = _prf_prefix(master_seed, identity).copy()
+    state.update((0).to_bytes(4, "big"))
+    width = blocks.shape[1]
+    for start in range(0, blocks.shape[0], COLORING_BATCH_ROWS):
+        rows = blocks[start:start + COLORING_BATCH_ROWS]
+        scalar = np.full(rows.shape[0], width == 0)     # no bytes to slice rows from
+        if rows.dtype != np.uint8:
+            scalar |= ~((rows >= 0) & (rows < 256)).all(axis=1)
+        fast = np.flatnonzero(~scalar)
+        data = rows[fast].astype(np.uint8).tobytes()
+        digests = []
+        for offset in range(0, len(data), max(width, 1)):
+            h = state.copy()
+            h.update(data[offset:offset + width])
+            digests.append(h.digest())
+        values = np.frombuffer(b"".join(digests), dtype=">u8")
+        if bound < 2 ** 64:
+            scalar[fast[values >= np.uint64(bound)]] = True
+        colors[start + fast] = values % np.uint64(color_count) + np.uint64(1)
+        for i in np.flatnonzero(scalar):
+            colors[start + i] = coloring_value(master_seed, color_count, identity, rows[i])
+    return colors
 
 
 # --- inner transmission code -------------------------------------------------
@@ -269,10 +313,18 @@ class IDFeedbackCode:
     budget: float
     feasible: tuple[int, ...]
 
-    def coloring(self, identity: int, y_pilot) -> int:
+    def _require_identity(self, identity: int) -> None:
         if not 1 <= identity <= self.identity_count:
             raise DegenerateCode(f"identity {identity} out of range")
+
+    def coloring(self, identity: int, y_pilot) -> int:
+        self._require_identity(identity)
         return coloring_value(self.master_seed, self.color_count, identity, y_pilot)
+
+    def colorings(self, identity: int, blocks: np.ndarray) -> np.ndarray:
+        """`coloring` of every row of `blocks`, as an int64 array."""
+        self._require_identity(identity)
+        return coloring_values(self.master_seed, self.color_count, identity, blocks)
 
     def pilot_typical(self, y_pilot) -> bool:
         """Max-norm test of the empirical pilot output type against its law.

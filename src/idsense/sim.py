@@ -136,18 +136,20 @@ def _block_keys(blocks: np.ndarray, size: int) -> np.ndarray:
 
 def _colors_for(code: IDFeedbackCode, identity: int, pilots: np.ndarray,
                 cache: dict) -> np.ndarray:
-    """Coloring values per trial, one `code.coloring` call per distinct pilot block.
+    """Coloring values per trial, from one batched `code.colorings` call.
 
-    `cache` maps identity -> {block key: color}; shared by the pairs of one
-    `monte_carlo` call, it colors an identity's block once across them.
+    That call colors the distinct pilot blocks that `cache` does not hold
+    yet.  `cache` maps identity -> {block key: color}; shared by the pairs of
+    one `monte_carlo` call, it colors an identity's block once across them.
     """
     keys = _block_keys(pilots, code.pilot_row.shape[0])
     uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     uniq = uniq.tolist()
     known = cache.setdefault(identity, {})
-    for key, i in zip(uniq, first.tolist()):
-        if key not in known:
-            known[key] = code.coloring(identity, pilots[i])
+    missing = [(key, i) for key, i in zip(uniq, first.tolist()) if key not in known]
+    if missing:
+        new_keys, rows = zip(*missing)
+        known.update(zip(new_keys, code.colorings(identity, pilots[list(rows)]).tolist()))
     return np.array([known[key] for key in uniq], dtype=np.int64)[inverse]
 
 
@@ -280,7 +282,8 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
     the exact inner-code confusion matrix for the tail.  In randomized mode
     the marginalization over pilot inputs collapses into the mixture output
     law because the verdict depends on the output block only.  Every sum
-    runs in lexicographic block order; only typical blocks are colored.
+    runs in lexicographic block order; only typical blocks are colored,
+    those of a chunk in one `code.colorings` call per identity.
     The |Y|^n pilot blocks and the |Y|^k tails are enumerated, and so
     guarded by `enumerate_blocks`, apart.
     """
@@ -298,9 +301,8 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
         typical = counts_typical(symbol_counts(chunk, ch.output_size), row, code.eps)
         atypical_mass = _running_sum(atypical_mass, prob[(prob != 0.0) & ~typical])
         keep = (prob != 0.0) & typical
-        prob = prob[keep]
-        colors = {i: np.array([code.coloring(i, y) for y in chunk[keep]], dtype=np.int64) - 1
-                  for i in identities}
+        prob, blocks = prob[keep], chunk[keep]
+        colors = {i: code.colorings(i, blocks) - 1 for i in identities}
         for i, c in colors.items():
             lambda1[i] = _running_sum(lambda1[i], prob * (1.0 - confusion[c, c]))
         for (a, b) in lambda2:

@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from idsense.coding import (
     build_id_code,
     build_transmission_code,
     coloring_value,
+    coloring_values,
     encode_step,
     feedback_update,
     initial_state,
@@ -81,6 +84,38 @@ class TestColoring:
         # M - 1 = 7 degrees of freedom
         assert M - 1 == 7
         assert stat < 24.321886347856854
+
+
+class TestColorCount:
+    """M must lie in 1..2^64 (1..2^63 - 1 for the int64 batch), refused up front."""
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        # a count the rejection sampler cannot serve would otherwise redraw forever
+        def expire(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("M", [0, -3, 2 ** 64 + 1, 2 ** 65])
+    def test_refused(self, M):
+        with pytest.raises(DegenerateCode):
+            coloring_value(1, M, 1, b"\x00")
+        with pytest.raises(DegenerateCode):
+            coloring_values(1, M, 1, np.zeros((2, 1), dtype=np.uint8))
+
+    def test_largest_count(self):
+        assert 1 <= coloring_value(1, 2 ** 64, 1, b"\x00") <= 2 ** 64
+
+    def test_batch_stays_int64(self):
+        blocks = np.zeros((2, 1), dtype=np.uint8)
+        with pytest.raises(DegenerateCode):
+            coloring_values(1, 2 ** 63, 1, blocks)
+        assert coloring_values(1, 2 ** 63 - 1, 1, blocks).tolist() == \
+            [coloring_value(1, 2 ** 63 - 1, 1, b"\x00")] * 2
 
 
 class TestTransmissionCode:

@@ -4,7 +4,8 @@ Each reference below walks `itertools.product` one block (or table, or grid
 point) at a time, in the order and with the float operations of the original
 implementation.  The vectorized oracles must return `==`-identical values,
 not merely close ones.  The Monte Carlo harness's keyed pilot coloring is
-held to the same standard against the row sort it replaces.
+held to the same standard against the row sort it replaces, and the batched
+coloring against one scalar coloring per row.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 
 from idsense import fixtures
 from idsense.coding import build_id_code
-from idsense.errors import InfeasibleDistortion, TooLargeToEnumerate
+from idsense.errors import DegenerateCode, InfeasibleDistortion, TooLargeToEnumerate
 from idsense.estimation import (
     FEASIBILITY_TOL,
     EstimatorTable,
@@ -227,6 +228,46 @@ class TestKeyedColoring:
         for pilots in calls:
             assert (_colors_for(refusing, 9, pilots, cache)
                     == reference_colors_for(code, 9, pilots)).all()
+
+
+class TestBatchedColoring:
+    """`colorings` of a block array against one `coloring` call per row."""
+
+    @staticmethod
+    def code_for(colors, flip, ham2):
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
+                             eps=0.3, mode="det", master_seed=5)
+        return dataclasses.replace(code, identity_count=2 ** 512, color_count=colors)
+
+    # 4,500 rows span five hashing sub-batches; at M = 2^62 + 1 about a quarter
+    # of the rows are redrawn, and |Y| = 300 mixes wide and one-byte payloads
+    @pytest.mark.parametrize("colors", [1, 2, 3, 5, 2 ** 32, 2 ** 62 + 1])
+    @pytest.mark.parametrize("size,n,dtype", [
+        (2, 1, np.uint8), (2, 4, np.uint8), (2, 16, np.uint8), (3, 16, np.uint8),
+        (256, 4, np.int64), (256, 4, np.uint16), (300, 3, np.uint16), (300, 3, np.int64)])
+    def test_matches_scalar(self, flip, ham2, colors, size, n, dtype):
+        code = self.code_for(colors, flip, ham2)
+        blocks = np.random.default_rng([size, n]).integers(0, size, (4500, n)).astype(dtype)
+        for identity in (1, 2 ** 512):
+            values = code.colorings(identity, blocks)
+            assert values.dtype == np.int64
+            assert values.tolist() == [code.coloring(identity, row) for row in blocks]
+
+    def test_empty(self, flip, ham2):
+        code = self.code_for(5, flip, ham2)
+        for dtype in (np.uint8, np.int64):
+            values = code.colorings(3, np.zeros((0, 16), dtype=dtype))
+            assert values.dtype == np.int64 and values.shape == (0,)
+            # blocks of no symbols: every row has the empty payload
+            blocks = np.zeros((3, 0), dtype=dtype)
+            assert code.colorings(3, blocks).tolist() == [code.coloring(3, row) for row in blocks]
+
+    def test_identity_range(self, flip, ham2):
+        code = self.code_for(5, flip, ham2)
+        blocks = np.zeros((3, 4), dtype=np.uint8)
+        for identity in (0, code.identity_count + 1):
+            with pytest.raises(DegenerateCode):
+                code.colorings(identity, blocks)
 
 
 class TestTypicalSet:

@@ -7,7 +7,7 @@ import pytest
 
 from idsense import fixtures
 from idsense.channel import StateDMC
-from idsense.coding import IDFeedbackCode, build_id_code, coloring_value
+from idsense.coding import IDFeedbackCode, build_id_code, coloring_values
 from idsense.errors import AlphabetTooLarge, TooLargeToEnumerate
 from idsense.estimation import distortion_profile, hamming_distortion
 from idsense.capacity import det_feedback_capacity, rand_capacity_distortion
@@ -151,6 +151,39 @@ def test_pinned_report(name):
     assert pinned_report(name) == (PINNED_DIR / f"{name}.json").read_bytes()
 
 
+# The benchmark's two `exact_error_probabilities` codes, det at n = 16 and
+# eps 0.3, with a fixed master seed and one fixed ordered pair each way.
+# FlipBSC is criterion 8's code.  The `repr` of every returned value is pinned in
+# tests/data/sim/<name>.json, so a change to the coloring or to the order of
+# the sums may not move any figure, not even by one ulp.
+PINNED_EXACT = {
+    "exact_flip_det_n16": dict(channel="flip_bsc", budget=0.45, identities=2 ** 512,
+                               colors=5, master_seed=9, pair=(2 ** 512, 3 ** 323)),
+    "exact_sensor_det_n16": dict(channel="sensor", budget=0.5, identities=2 ** 16,
+                                 colors=3, master_seed=12, pair=(7, 2 ** 16)),
+}
+
+
+def pinned_exact(name: str) -> bytes:
+    """The JSON of the `repr` of every value of one pinned exact configuration."""
+    cfg = dict(PINNED_EXACT[name])
+    ch = getattr(fixtures, cfg.pop("channel"))()
+    budget, (a, b) = cfg.pop("budget"), cfg.pop("pair")
+    code = build_id_code(ch, hamming_distortion(2), budget, n=16, eps=0.3, mode="det", **cfg)
+    result = exact_error_probabilities(code, ch, [(a, b), (b, a)])
+    values = {
+        "lambda1": {str(i): repr(v) for i, v in sorted(result["lambda1"].items())},
+        "lambda2": {f"{i}->{j}": repr(v) for (i, j), v in sorted(result["lambda2"].items())},
+        "atypical_mass": repr(result["atypical_mass"]),
+    }
+    return (json.dumps(values, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT))
+def test_pinned_exact(name):
+    assert pinned_exact(name) == (PINNED_DIR / f"{name}.json").read_bytes()
+
+
 class TestExactOracle:
     def test_noiseless_lambda1_zero(self):
         ch, _, code = noiseless_code()
@@ -179,8 +212,8 @@ class TestExactOracle:
 
         class CollidingCode(IDFeedbackCode):
             # both identities use identity 1's coloring on every pilot block
-            def coloring(self, identity, y_pilot):
-                return coloring_value(self.master_seed, self.color_count, 1, y_pilot)
+            def colorings(self, identity, blocks):
+                return coloring_values(self.master_seed, self.color_count, 1, blocks)
 
         fields = {f.name: getattr(base, f.name)
                   for f in dataclasses.fields(base)}
