@@ -104,9 +104,21 @@ def cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def sample_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Categorical draws: cum_rows (..., Y) from `cumulative`, u (...) uniforms."""
-    return (u[..., None] >= cum_rows).sum(axis=-1)
+def sample_rows(cum_rows: np.ndarray, u: np.ndarray, index=None) -> np.ndarray:
+    """Categorical draws from rows of `cumulative`, as int64.
+
+    u holds uniforms in [0, 1).  Without `index`, cum_rows (..., Y)
+    broadcasts against u; with `index`, cum_rows is a flat (R, Y) table and
+    u[...] draws from row index[...].  A draw counts the entries of its row
+    at or below u, one column at a time, which is
+    searchsorted(row, u, side="right").
+    """
+    columns = (cum_rows[..., j] if index is None else cum_rows[:, j].take(index)
+               for j in range(cum_rows.shape[-1]))
+    draws = (u >= next(columns)).astype(np.int64)
+    for column in columns:
+        draws += u >= column
+    return draws
 
 
 def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.ndarray:

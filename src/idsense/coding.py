@@ -24,6 +24,7 @@ from .capacity import (
 )
 from .errors import (
     DegenerateCode,
+    IndexOutOfRange,
     InfeasibleDistortion,
     LengthMismatch,
     OutOfTime,
@@ -71,6 +72,13 @@ def _payload(y_pilot) -> bytes:
     if max(symbols, default=0) < 256:
         return bytes(symbols)
     return len(symbols).to_bytes(4, "big") + b"".join(y.to_bytes(8, "big") for y in symbols)
+
+
+def _require_symbols(block, size: int) -> None:
+    """Refuse a block with a symbol outside 0..size-1, by plain comparisons."""
+    for y in block:
+        if not 0 <= y < size:
+            raise IndexOutOfRange(f"output symbol {y} out of range 0..{size - 1}")
 
 
 def _require_color_count(color_count: int, limit: int) -> None:
@@ -155,6 +163,7 @@ class TransmissionCode:
         y_tail = np.asarray(y_tail, dtype=np.int64)
         if y_tail.shape != (self.k,):
             raise LengthMismatch(f"tail must have length {self.k}")
+        _require_symbols(y_tail.tolist(), self.rows.shape[1])
         return int(np.argmax(_loglik(self.log_table, y_tail[None])[:, 0])) + 1
 
 
@@ -318,7 +327,9 @@ class IDFeedbackCode:
             raise DegenerateCode(f"identity {identity} out of range")
 
     def coloring(self, identity: int, y_pilot) -> int:
+        """Color of one pilot block; its symbols must be in 0..|Y|-1."""
         self._require_identity(identity)
+        _require_symbols(y_pilot, self.pilot_row.shape[0])
         return coloring_value(self.master_seed, self.color_count, identity, y_pilot)
 
     def colorings(self, identity: int, blocks: np.ndarray) -> np.ndarray:
@@ -407,6 +418,7 @@ def verify(code: IDFeedbackCode, claimed_identity: int, y_full) -> bool:
     y_full = [int(y) for y in y_full]
     if len(y_full) != code.m:
         raise LengthMismatch(f"output must have length {code.m}")
+    _require_symbols(y_full, code.pilot_row.shape[0])
     y_pilot = y_full[:code.n]
     if not code.pilot_typical(y_pilot):
         return False

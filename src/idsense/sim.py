@@ -134,67 +134,94 @@ def _block_keys(blocks: np.ndarray, size: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * n)))[:, 0]
 
 
-def _colors_for(code: IDFeedbackCode, identity: int, pilots: np.ndarray,
-                cache: dict) -> np.ndarray:
-    """Coloring values per trial, from one batched `code.colorings` call.
+def _distinct_blocks(blocks: np.ndarray, size: int):
+    """(sorted distinct keys, the first row of each, the key index of every row)."""
+    keys, first, inverse = np.unique(_block_keys(blocks, size),
+                                     return_index=True, return_inverse=True)
+    return keys, blocks[first], inverse
 
-    That call colors the distinct pilot blocks that `cache` does not hold
-    yet.  `cache` maps identity -> {block key: color}; shared by the pairs of
-    one `monte_carlo` call, it colors an identity's block once across them.
+
+def _colors_for(code: IDFeedbackCode, identity: int, keys: np.ndarray,
+                rows: np.ndarray, cache: dict) -> np.ndarray:
+    """Coloring values of the distinct blocks `rows`, whose sorted keys are `keys`.
+
+    `cache` maps identity -> (sorted keys, their colors); shared by the pairs
+    of one `monte_carlo` call, it colors an identity's block once across
+    them.  Blocks it does not hold yet are colored in one `code.colorings`
+    call and merged in.
     """
-    keys = _block_keys(pilots, code.pilot_row.shape[0])
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    uniq = uniq.tolist()
-    known = cache.setdefault(identity, {})
-    missing = [(key, i) for key, i in zip(uniq, first.tolist()) if key not in known]
-    if missing:
-        new_keys, rows = zip(*missing)
-        known.update(zip(new_keys, code.colorings(identity, pilots[list(rows)]).tolist()))
-    return np.array([known[key] for key in uniq], dtype=np.int64)[inverse]
+    known, known_colors = cache.get(identity, (keys[:0], np.empty(0, dtype=np.int64)))
+    at = np.searchsorted(known, keys)
+    hit = at < known.size
+    hit[hit] = known[at[hit]] == keys[hit]
+    colors = np.empty(keys.size, dtype=np.int64)
+    colors[hit] = known_colors[at[hit]]
+    missing = ~hit
+    if missing.any():
+        colors[missing] = code.colorings(identity, rows[missing])
+        cache[identity] = (np.insert(known, at[missing], keys[missing]),
+                           np.insert(known_colors, at[missing], colors[missing]))
+    return colors
 
 
-def _simulate_pair(code: IDFeedbackCode, table: EstimatorTable, dist: DistortionMatrix,
-                   cums: tuple, identity: int, tested_identity: int,
-                   trials: int, seed: int, cache: dict) -> tuple[np.ndarray, np.ndarray]:
+def _pair_tables(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix) -> tuple:
+    """What every pair of one `monte_carlo` call draws from and looks up.
+
+    The cumulative state prior; the cumulative kernel as a flat
+    (|X|·|S|, |Y|) table, whose row x·|S| + s is W(.|x, s); the cumulative
+    rand pilot law (None in det mode); and the fused distortion table
+    D[(x·|S| + s)·|Y| + y] = d(s, h(x, y)) of the optimal estimator h.
+    """
+    table = optimal_estimator(ch, dist)
+    fused = dist.d[np.arange(ch.state_size)[None, :, None], table.h[:, None, :]]
+    return (cumulative(ch.state_prior),
+            cumulative(ch.kernel).reshape(-1, ch.output_size),
+            None if code.mode == "det" else cumulative(code.pilot.p),
+            fused.ravel())
+
+
+def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
+                   tested_identity: int, trials: int, seed: int,
+                   cache: dict) -> tuple[np.ndarray, np.ndarray]:
     """All trials of one ordered pair at once.
 
-    `cums` holds the cumulative state prior, kernel and (rand) pilot law;
-    `cache` is `_colors_for`'s.  Returns (accept flags, per-trial per-symbol
-    distortions).
+    `tables` comes from `_pair_tables`, `cache` is `_colors_for`'s.  The
+    pilot and tail outputs are drawn from the flat kernel rows x·|S| + s,
+    and each symbol's distortion is one lookup in the fused table.
+    Returns (accept flags, per-trial per-symbol distortions).
     """
     rng = np.random.default_rng(seed)
     n, m, k = code.n, code.m, code.inner.k
-    cum_prior, cum_kernel, cum_pilot = cums
+    cum_prior, cum_kernel, cum_pilot, fused = tables
+    state_size, output_size = cum_prior.shape[0], cum_kernel.shape[1]
     states = sample_rows(cum_prior, rng.random((trials, m)))
 
     if code.mode == "det":
-        x_pilot = np.full((trials, n), int(code.pilot), dtype=np.int64)
+        x_pilot = int(code.pilot)
     else:
         x_pilot = sample_rows(cum_pilot, rng.random((trials, n)))
-    y_pilot = sample_rows(cum_kernel[x_pilot, states[:, :n]],
-                          rng.random((trials, n)))
-    output_size = cum_kernel.shape[-1]
+    pilot_rows = x_pilot * state_size + states[:, :n]
+    y_pilot = sample_rows(cum_kernel, rng.random((trials, n)), pilot_rows)
+    dvals = np.empty((trials, m))
+    dvals[:, :n] = fused.take(pilot_rows * output_size + y_pilot)
     if output_size <= 256:
         y_pilot = y_pilot.astype(np.uint8)
 
-    typical = counts_typical(symbol_counts(y_pilot, output_size), code.pilot_row, code.eps)
-
-    colors = _colors_for(code, identity, y_pilot, cache)
+    keys, blocks, inverse = _distinct_blocks(y_pilot, output_size)
+    typical = counts_typical(symbol_counts(blocks, output_size), code.pilot_row,
+                             code.eps)[inverse]
+    colors = _colors_for(code, identity, keys, blocks, cache)[inverse]
     sent_colors = np.where(typical, colors, ABORT_COLOR)
     tested_colors = (colors if tested_identity == identity
-                     else _colors_for(code, tested_identity, y_pilot, cache))
+                     else _colors_for(code, tested_identity, keys, blocks, cache)[inverse])
 
     codewords = np.array(code.inner.codewords, dtype=np.int64)
-    x_tail = codewords[sent_colors - 1]
-    y_tail = sample_rows(cum_kernel[x_tail, states[:, n:]],
-                         rng.random((trials, k)))
+    tail_rows = codewords[sent_colors - 1] * state_size + states[:, n:]
+    y_tail = sample_rows(cum_kernel, rng.random((trials, k)), tail_rows)
+    dvals[:, n:] = fused.take(tail_rows * output_size + y_tail)
     decoded = np.argmax(_loglik(code.inner.log_table, y_tail), axis=0) + 1
 
     accept = typical & (decoded == tested_colors)
-    x_full = np.concatenate([x_pilot, x_tail], axis=1)
-    y_full = np.concatenate([y_pilot, y_tail], axis=1)
-    s_hat = table.h[x_full, y_full]
-    dvals = dist.d[states, s_hat]
     return accept, dvals
 
 
@@ -232,18 +259,16 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     """
     if trials_per_pair < 1:
         raise ValueError("trials_per_pair must be >= 1")
-    table = optimal_estimator(ch, dist)
+    tables = _pair_tables(code, ch, dist)
     identities, pairs = _choose_identities(code, identity_sample, seed)
 
     dist_sum = np.zeros(code.m)
     dist_sqsum = np.zeros(code.m)
     total_trials = trials_per_pair * (len(identities) + len(pairs))
     lambda1, lambda2 = {}, {}
-    cums = (cumulative(ch.state_prior), cumulative(ch.kernel),
-            None if code.mode == "det" else cumulative(code.pilot.p))
     cache: dict = {}
     for (a, b) in [(i, i) for i in identities] + list(pairs):
-        accept, dvals = _simulate_pair(code, table, dist, cums, a, b, trials_per_pair,
+        accept, dvals = _simulate_pair(code, tables, a, b, trials_per_pair,
                                        _pair_seed(seed, a, b), cache)
         if a == b:
             lambda1[a] = float(1.0 - accept.mean())

@@ -177,6 +177,17 @@ def searchsorted_draw(p, u):
     return np.searchsorted(cumulative(p), u, side="right")
 
 
+def edge_uniforms(rng, cum):
+    """One uniform in [0, 1) per row of `cum` (..., Y): on a boundary of its row, one ulp
+    below it, or random.  A boundary at or above 1.0 gives the largest float below 1.0."""
+    pick = rng.integers(0, cum.shape[-1], cum.shape[:-1])
+    edge = np.take_along_axis(cum, pick[..., None], axis=-1)[..., 0]
+    kind = rng.integers(0, 3, edge.shape)
+    u = np.where(kind == 0, edge,
+                 np.where(kind == 1, np.nextafter(edge, 0), rng.random(edge.shape)))
+    return np.minimum(u, np.nextafter(1.0, 0))
+
+
 def sparse_rows(rng, shape):
     """Random distributions on the last axis, with many entries exactly zero."""
     p = rng.random(shape) * (rng.random(shape) < 0.6)
@@ -196,6 +207,42 @@ class TestSearchsortedReference:
             edges = cum[cum < 1.0]
             u = np.concatenate([rng.random(2000), edges, np.nextafter(edges, 0), [0.0]])
             assert np.array_equal(sample_rows(cum, u), searchsorted_draw(p, u))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_broadcast_table(self, seed):
+        # one row per draw: a (trials, n, |Y|) table against (trials, n) uniforms
+        rng = np.random.default_rng(seed)
+        p = sparse_rows(rng, (40, 7, int(rng.integers(2, 6))))
+        u = edge_uniforms(rng, cumulative(p))
+        draws = sample_rows(cumulative(p), u)
+        assert draws.shape == u.shape and draws.dtype == np.int64
+        for i in np.ndindex(u.shape):
+            assert draws[i] == searchsorted_draw(p[i], u[i])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flat_table(self, seed):
+        # the kernel as one flat (|X|·|S|, |Y|) table; draw i uses row x_i·|S| + s_i
+        rng = np.random.default_rng(seed)
+        nx, ns, ny = 3, 4, int(rng.integers(2, 6))
+        kernel = sparse_rows(rng, (nx, ns, ny))
+        x, s = rng.integers(0, nx, (40, 9)), rng.integers(0, ns, (40, 9))
+        cum = cumulative(kernel)
+        u = edge_uniforms(rng, cum[x, s])
+        draws = sample_rows(cum.reshape(-1, ny), u, x * ns + s)
+        assert draws.shape == u.shape and draws.dtype == np.int64
+        for i in np.ndindex(u.shape):
+            assert draws[i] == searchsorted_draw(kernel[x[i], s[i]], u[i])
+
+    def test_single_output(self):
+        # |Y| = 1: the only boundary is 1.0, so every uniform in [0, 1) draws 0
+        rng = np.random.default_rng(0)
+        u = np.concatenate([rng.random(50), [0.0, np.nextafter(1.0, 0)]]).reshape(4, 13)
+        rows = np.ones((6, 1))
+        for draws in (sample_rows(cumulative(rows[0]), u),
+                      sample_rows(cumulative(rows), u, rng.integers(0, 6, u.shape))):
+            assert draws.shape == u.shape and draws.dtype == np.int64
+            assert np.array_equal(draws, searchsorted_draw(rows[0], u))
+            assert not draws.any()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_transmit_and_states(self, seed):

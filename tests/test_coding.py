@@ -19,6 +19,7 @@ from idsense.coding import (
 )
 from idsense.errors import (
     DegenerateCode,
+    IndexOutOfRange,
     InfeasibleDistortion,
     OutOfTime,
     TooManyMessages,
@@ -290,6 +291,29 @@ class TestEncoderDecoder:
         code = self._code(flip, ham2)
         with pytest.raises(DegenerateCode):
             initial_state(code, 9)
+
+    # a symbol outside 0..|Y|-1 in the pilot (negative, or past the alphabet)
+    # or in the tail, where the bare errors came from np.bincount, a
+    # broadcast and an index
+    @pytest.mark.parametrize("y_full", [[0, 0, 0, -1, 0, 0], [0, 0, 0, 5, 0, 0],
+                                        [0, 0, 0, 0, 0, 7], [0, 0, 0, 0, -1, 0]])
+    def test_verify_symbol_out_of_range(self, flip, ham2, y_full):
+        code = self._code(flip, ham2)
+        assert code.m == len(y_full)
+        with pytest.raises(IndexOutOfRange):
+            verify(code, 1, y_full)
+
+    @pytest.mark.parametrize("y_pilot", [[0, 0, -1, 0], [0, 2, 0, 0], (0, 0, 0, 256)])
+    def test_coloring_symbol_out_of_range(self, flip, ham2, y_pilot):
+        code = self._code(flip, ham2)
+        with pytest.raises(IndexOutOfRange):
+            code.coloring(1, y_pilot)
+
+    @pytest.mark.parametrize("y_tail", [[0, 7], [-1, 0]])
+    def test_decode_symbol_out_of_range(self, flip, ham2, y_tail):
+        code = self._code(flip, ham2)
+        with pytest.raises(IndexOutOfRange):
+            code.inner.decode(y_tail)
 
 
 class TestCollisionBound:

@@ -26,6 +26,7 @@ from idsense.estimation import (
 )
 from idsense.sim import (
     _colors_for,
+    _distinct_blocks,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     grid_capacity_oracle,
@@ -198,6 +199,12 @@ class TestKeyedColoring:
         pool = rng.integers(0, size, (300, n))
         return pool[rng.integers(0, len(pool), 1000)].astype(dtype)
 
+    @staticmethod
+    def colors_for(code, identity, pilots, cache):
+        """`_colors_for` on the distinct blocks of `pilots`, spread back to every row."""
+        keys, rows, inverse = _distinct_blocks(pilots, code.pilot_row.shape[0])
+        return _colors_for(code, identity, keys, rows, cache)[inverse]
+
     @pytest.mark.parametrize("size,n", [(2, 1), (2, 4), (2, 16), (2, 62), (2, 63), (2, 64),
                                         (3, 39), (3, 40), (300, 3), (300, 8)])
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
@@ -207,7 +214,7 @@ class TestKeyedColoring:
         code = self.code_for(size, flip, ham2)
         pilots = self.blocks(np.random.default_rng([size, n]), size, n, dtype)
         for identity in (1, 7, 16):
-            colors = _colors_for(code, identity, pilots, {})
+            colors = self.colors_for(code, identity, pilots, {})
             assert colors.dtype == np.int64
             assert (colors == reference_colors_for(code, identity, pilots)).all()
 
@@ -220,13 +227,13 @@ class TestKeyedColoring:
         cache = {}
         for pilots in calls:
             for identity in (2, 9, 16):
-                assert (_colors_for(code, identity, pilots, cache)
+                assert (self.colors_for(code, identity, pilots, cache)
                         == reference_colors_for(code, identity, pilots)).all()
         assert sorted(cache) == [2, 9, 16]
         # every block is now cached: a code that refuses to color still answers
         refusing = dataclasses.replace(code, identity_count=0)
         for pilots in calls:
-            assert (_colors_for(refusing, 9, pilots, cache)
+            assert (self.colors_for(refusing, 9, pilots, cache)
                     == reference_colors_for(code, 9, pilots)).all()
 
 
@@ -234,10 +241,11 @@ class TestBatchedColoring:
     """`colorings` of a block array against one `coloring` call per row."""
 
     @staticmethod
-    def code_for(colors, flip, ham2):
+    def code_for(colors, flip, ham2, size=2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                              eps=0.3, mode="det", master_seed=5)
-        return dataclasses.replace(code, identity_count=2 ** 512, color_count=colors)
+        return dataclasses.replace(code, identity_count=2 ** 512, color_count=colors,
+                                   pilot_row=np.full(size, 1.0 / size))
 
     # 4,500 rows span five hashing sub-batches; at M = 2^62 + 1 about a quarter
     # of the rows are redrawn, and |Y| = 300 mixes wide and one-byte payloads
@@ -246,7 +254,7 @@ class TestBatchedColoring:
         (2, 1, np.uint8), (2, 4, np.uint8), (2, 16, np.uint8), (3, 16, np.uint8),
         (256, 4, np.int64), (256, 4, np.uint16), (300, 3, np.uint16), (300, 3, np.int64)])
     def test_matches_scalar(self, flip, ham2, colors, size, n, dtype):
-        code = self.code_for(colors, flip, ham2)
+        code = self.code_for(colors, flip, ham2, size)
         blocks = np.random.default_rng([size, n]).integers(0, size, (4500, n)).astype(dtype)
         for identity in (1, 2 ** 512):
             values = code.colorings(identity, blocks)

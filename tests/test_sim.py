@@ -9,7 +9,7 @@ from idsense import fixtures
 from idsense.channel import StateDMC
 from idsense.coding import IDFeedbackCode, build_id_code, coloring_values
 from idsense.errors import AlphabetTooLarge, TooLargeToEnumerate
-from idsense.estimation import distortion_profile, hamming_distortion
+from idsense.estimation import DistortionMatrix, distortion_profile, hamming_distortion
 from idsense.capacity import det_feedback_capacity, rand_capacity_distortion
 from idsense.sim import (
     brute_force_estimator_distortion,
@@ -119,19 +119,43 @@ class TestMonteCarlo:
         assert all(1 <= i <= 2 ** 40 for i in report.identities)
 
 
+def random_setup(seed: int, sizes: tuple, dist: DistortionMatrix, share: float):
+    """A random channel from `seed`, `dist`, and a budget at `share` of its d* range."""
+    ch = random_channel(np.random.default_rng(seed), *sizes)
+    d_star = distortion_profile(ch, dist).per_input
+    return ch, dist, float(d_star.min() + share * (d_star.max() - d_star.min()))
+
+
+PINNED_CHANNELS = {
+    "flip": lambda: (fixtures.flip_bsc(), hamming_distortion(2), 0.45),
+    "random333": lambda: random_setup(1, (3, 3, 3), hamming_distortion(3), 0.6),
+    "random243": lambda: random_setup(2, (2, 4, 3), DistortionMatrix(
+        d=np.array([[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [3.0, 0.25, 0.0]])), 0.7),
+}
+
 # The three `monte_carlo` configurations of the benchmark, on FlipBSC at
 # budget 0.45 and eps 0.3, with a few hundred trials per pair.  Each samples
 # 8 identities and 16 ordered pairs, so an identity is colored in several
-# pairs.  Each report's JSON is pinned byte for byte in
-# tests/data/sim/<name>.json: a change to the sampler or the coloring may not
-# move any figure, not even by one ulp.
+# pairs.  Two more run on `random333`, where every alphabet has three
+# letters: det at n = 40, whose 3^40 >= 2^63 pilot blocks are keyed by their
+# bytes, and rand at n = 6.  `random243` has |X| = 2, |Y| = 4, |S| = 3 and an
+# asymmetric distortion, so a flat row index or a distortion lookup that
+# swaps two of them cannot pass.  Each report's JSON is pinned byte for byte
+# in tests/data/sim/<name>.json: a change to the sampler or the coloring may
+# not move any figure, not even by one ulp.
 PINNED_REPORTS = {
-    "flip_det_n4": dict(n=4, identities=16, colors=4, mode="det", master_seed=31,
-                        trials=400, seed=5),
-    "flip_rand_n4": dict(n=4, identities=16, colors=4, mode="rand", master_seed=32,
-                         trials=400, seed=6),
-    "flip_det_n16": dict(n=16, identities=2 ** 512, colors=5, mode="det", master_seed=9,
-                         trials=300, seed=7),
+    "flip_det_n4": dict(channel="flip", n=4, identities=16, colors=4, mode="det",
+                        master_seed=31, trials=400, seed=5),
+    "flip_rand_n4": dict(channel="flip", n=4, identities=16, colors=4, mode="rand",
+                         master_seed=32, trials=400, seed=6),
+    "flip_det_n16": dict(channel="flip", n=16, identities=2 ** 512, colors=5, mode="det",
+                         master_seed=9, trials=300, seed=7),
+    "random333_det_n40": dict(channel="random333", n=40, identities=2 ** 64, colors=3,
+                              mode="det", master_seed=21, trials=300, seed=8),
+    "random333_rand_n6": dict(channel="random333", n=6, identities=2 ** 64, colors=3,
+                              mode="rand", master_seed=22, trials=300, seed=9),
+    "random243_rand_n8": dict(channel="random243", n=8, identities=2 ** 64, colors=2,
+                              mode="rand", master_seed=23, trials=300, seed=10),
 }
 PINNED_DIR = Path(__file__).parent / "data" / "sim"
 
@@ -140,15 +164,34 @@ def pinned_report(name: str) -> bytes:
     """The JSON of one pinned configuration's `SimReport.to_dict()`."""
     cfg = dict(PINNED_REPORTS[name])
     trials, seed = cfg.pop("trials"), cfg.pop("seed")
-    flip, ham = fixtures.flip_bsc(), hamming_distortion(2)
-    code = build_id_code(flip, ham, 0.45, eps=0.3, **cfg)
-    report = monte_carlo(code, flip, ham, trials, seed=seed)
+    ch, dist, budget = PINNED_CHANNELS[cfg.pop("channel")]()
+    code = build_id_code(ch, dist, budget, eps=0.3, **cfg)
+    report = monte_carlo(code, ch, dist, trials, seed=seed)
     return (json.dumps(report.to_dict(), indent=2) + "\n").encode()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
 def test_pinned_report(name):
     assert pinned_report(name) == (PINNED_DIR / f"{name}.json").read_bytes()
+
+
+# An inner code whose error is measured by Monte Carlo: FlipBSC det at
+# n = 169 has k = 13, and its 2^13 tails exceed EXACT_ERROR_GUARD.  Its
+# codewords and the `repr` of its measured error are pinned in
+# tests/data/sim/inner_flip_det_n169.json, so the sampler that
+# `_mc_error_profile` draws through may not move the codebook.
+def pinned_inner_code() -> bytes:
+    flip = fixtures.flip_bsc()
+    code = build_id_code(flip, hamming_distortion(2), 0.45, n=169, identities=16, colors=5,
+                         eps=0.3, mode="det", master_seed=9)
+    inner = {"codewords": [list(cw) for cw in code.inner.codewords],
+             "max_error": repr(code.inner.max_error),
+             "error_method": code.inner.error_method}
+    return (json.dumps(inner, indent=2) + "\n").encode()
+
+
+def test_pinned_inner_code():
+    assert pinned_inner_code() == (PINNED_DIR / "inner_flip_det_n169.json").read_bytes()
 
 
 # The benchmark's two `exact_error_probabilities` codes, det at n = 16 and
