@@ -35,7 +35,6 @@ from .capacity import (
     CapacityResult,
     InputDistribution,
     binary_entropy,
-    blahut_arimoto,
     det_capacity_distortion,
     det_feedback_capacity,
     entropy,

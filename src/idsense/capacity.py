@@ -6,7 +6,9 @@ over a polytope, by one pairwise Frank-Wolfe solver with a duality-gap
 certificate and closed-form Newton line searches: the randomized ID
 capacity (h = 0, the simplex), its distortion-constrained variant (h = 0,
 the simplex cut by the budget) and the Shannon capacity (h(x) = H(w_x), so
-f = I(P;W) and the gap is Blahut's bound gap).  All quantities are in bits.
+f = I(P;W) and the gap is Blahut's bound gap).  The Shannon solve and the
+zero-capacity decision take a row matrix, so the inner transmission code
+uses them on its restricted channel too.  All quantities are in bits.
 """
 
 from __future__ import annotations
@@ -224,44 +226,15 @@ def _max_mixture_entropy(rows: np.ndarray, verts: np.ndarray, tol: float) -> Cap
                           optimality_gap=gap, iterations=it)
 
 
-# --- Shannon capacity of the averaged channel --------------------------------
+# --- Shannon capacity --------------------------------------------------------
 
-def blahut_arimoto(rows: np.ndarray, tol: float = 1e-9,
-                   max_iters: int = MAX_ITERS) -> tuple[float, np.ndarray, int]:
-    """Return (capacity bits, optimal input distribution, iterations).
+def _shannon(rows: np.ndarray, tol: float = DEFAULT_TOL) -> CapacityResult:
+    """max_P I(P;W) over the inputs of `rows`, with Blahut's certified bound gap.
 
-    Blahut's iteration, the reference solver of the inner transmission
-    codes; it terminates when the bounds I(r; W) <= C <= max_x D(w_x || rW)
-    differ by at most tol.
+    Frank-Wolfe maximizes I(P;W) = H(PW) - sum_x P(x) H(w_x); its gap
+    max_x D(w_x || PW) - I(P;W) is at most tol.  It serves the averaged
+    channel and the inner code's restricted one alike.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.shape[0] == 1:
-        return 0.0, np.ones(1), 0
-    row_neg_entropy = -_row_entropies(rows)
-    r = np.full(rows.shape[0], 1.0 / rows.shape[0])
-    for it in range(1, max_iters + 1):
-        q = r @ rows
-        # D(rows[x] || q) per input; rows[x,y] > 0 with q[y] = 0 cannot happen
-        # once r is strictly positive, which the multiplicative update keeps.
-        logq = np.where(q > 0, np.log2(np.maximum(q, TINY)), 0.0)
-        div = row_neg_entropy - rows @ logq
-        lower, upper = float(r @ div), float(div.max())
-        if upper - lower <= tol:
-            return max(lower, 0.0), r, it
-        r = r * np.exp2(div - div.max())
-        r /= r.sum()
-    raise NoConvergence(max_iters, gap=upper - lower)
-
-
-def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
-    """Shannon capacity of the averaged channel, the transmission baseline.
-
-    It is not an ID capacity: with feedback the randomized ID capacity is
-    max_P H(PW) (`rand_feedback_capacity`), 1.0 on FlipBSC against 0.531.
-    Frank-Wolfe maximizes I(P;W) = H(PW) - sum_x P(x) H(w_x); its gap is
-    Blahut's certified bound gap max_x D(w_x || PW) - I(P;W), at most tol.
-    """
-    rows = ch.rows
     h = _row_entropies(rows)
     p, gap, it = _frank_wolfe(rows, np.eye(len(rows)), h, tol)
     value = max(_information(rows, h, p), 0.0) if len(rows) > 1 else 0.0
@@ -269,16 +242,25 @@ def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
                           optimality_gap=gap, iterations=it)
 
 
-def _require_positive_capacity(ch: StateDMC):
-    """Raise ZeroCapacityChannel unless the Shannon capacity exceeds ZERO_CAPACITY_TOL.
+def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
+    """Shannon capacity of the averaged channel, the transmission baseline.
 
-    The Shannon solve runs only until its bounds decide, lower = I(p; W)
-    and upper = lower + gap: lower > tol is positive, upper <= tol is zero,
-    and once gap <= tol (where a full solve would stop) lower <= tol is
-    zero.  Since lower never decreases, this is the decision of a full
-    solve, reached earlier.
+    It is not an ID capacity: with feedback the randomized ID capacity is
+    max_P H(PW) (`rand_feedback_capacity`), 1.0 on FlipBSC against 0.531.
     """
-    rows = ch.rows
+    return _shannon(ch.rows, tol)
+
+
+def _require_positive_capacity(rows: np.ndarray):
+    """Raise ZeroCapacityChannel unless C(rows) exceeds ZERO_CAPACITY_TOL.
+
+    C(rows) is the Shannon capacity of a row matrix: the averaged channel's,
+    or the restricted one of an inner code.  The Shannon solve runs only
+    until its bounds decide, lower = I(p; W) and upper = lower + gap:
+    lower > tol is positive, upper <= tol is zero, and once gap <= tol
+    (where a full solve would stop) lower <= tol is zero.  Since lower never
+    decreases, this is the decision of a full solve, reached earlier.
+    """
     if rows.shape[0] > 1:
         h = _row_entropies(rows)
         for p, gap, _ in _fw_iterates(rows, np.eye(len(rows)), h, MAX_ITERS):
@@ -303,7 +285,7 @@ def _best_row(rows: np.ndarray, inputs) -> CapacityResult:
 
 def det_feedback_capacity(ch: StateDMC) -> CapacityResult:
     """max_x H of the averaged row; requires positive Shannon capacity."""
-    _require_positive_capacity(ch)
+    _require_positive_capacity(ch.rows)
     return _best_row(ch.rows, range(ch.input_size))
 
 
@@ -315,7 +297,7 @@ def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityRe
         # singleton simplex: the maximization is exact and needs no hypothesis
         return CapacityResult(value=entropy(rows[0]),
                               maximizer=InputDistribution(p=np.ones(1)))
-    _require_positive_capacity(ch)
+    _require_positive_capacity(ch.rows)
     return _max_mixture_entropy(rows, np.eye(nx), tol)
 
 
@@ -325,7 +307,7 @@ def det_capacity_distortion(ch: StateDMC, dist: DistortionMatrix,
                             budget: float) -> CapacityResult:
     """max over budget-feasible inputs of the averaged-row entropy."""
     _, feasible = _feasible_inputs(ch, dist, budget)
-    _require_positive_capacity(ch)
+    _require_positive_capacity(ch.rows)
     return _best_row(ch.rows, feasible)
 
 
@@ -354,7 +336,7 @@ def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix, budget: float
                              tol: float = DEFAULT_TOL) -> CapacityResult:
     """max_{P : d*(P) <= D} of the output-mixture entropy."""
     profile, feasible = _feasible_inputs(ch, dist, budget)
-    _require_positive_capacity(ch)
+    _require_positive_capacity(ch.rows)
     return _max_mixture_entropy(ch.rows, _constrained_vertices(profile, budget, feasible), tol)
 
 

@@ -222,13 +222,19 @@ _common = [
 
 
 def _with_common(fn):
-    """The shared options, and exit code 5 for a solver that did not converge."""
+    """The shared options, and the one table of exit codes for library errors."""
     @functools.wraps(fn)
     def command(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except (ZeroCapacityChannel, InfeasibleDistortion) as exc:
+            _fail(EXIT_INFEASIBLE, str(exc))
+        except TooLargeToEnumerate as exc:
+            _fail(EXIT_GUARD, str(exc))
         except NoConvergence as exc:
             _fail(EXIT_SOLVER, str(exc))
+        except IdsenseError as exc:
+            _fail(EXIT_CONFIG, str(exc))
 
     for opt in reversed(_common):
         command = opt(command)
@@ -241,12 +247,9 @@ def capacity(channel, config, fmt, out):
     """Shannon and feedback ID capacities of the averaged channel."""
     merged = _merged(_load_config(config), channel=channel, format=fmt, out=out)
     ch, _ = _resolve_channel(_require(merged, "channel"))
-    try:
-        shannon = shannon_capacity_avg(ch)
-        det = det_feedback_capacity(ch)
-        rand = rand_feedback_capacity(ch)
-    except ZeroCapacityChannel as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
+    shannon = shannon_capacity_avg(ch)
+    det = det_feedback_capacity(ch)
+    rand = rand_feedback_capacity(ch)
     report = {
         "shannon": shannon.value,
         "shannon_maximizer": shannon.maximizer.p.tolist(),
@@ -280,10 +283,7 @@ def tradeoff(channel, config, fmt, out, distortion, grid, mode):
     budgets = _parse_grid(str(_require(merged, "grid")))
     mode = merged.get("mode") or "det"
     modes = ["det", "rand"] if mode == "both" else [mode]
-    try:
-        curves = {m: tradeoff_curve(ch, dist, budgets, m) for m in modes}
-    except ZeroCapacityChannel as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
+    curves = {m: tradeoff_curve(ch, dist, budgets, m) for m in modes}
     if merged.get("format") == "csv":
         rows = [["mode", "D", "feasible", "value"]]
         for m in modes:
@@ -369,18 +369,7 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
     budget = _finite(merged, "budget")
     if budget is None:
         budget = float(distortion_profile(ch, dist).per_input.max())
-    try:
-        code = build_id_code(ch, dist, budget, n, identities, colors, eps,
-                             mode, seed)
-    except InfeasibleDistortion as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except ZeroCapacityChannel as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
-    except NoConvergence:
-        raise                               # exit 5, from _with_common
-    except IdsenseError as exc:
-        _fail(EXIT_CONFIG, str(exc))
-
+    code = build_id_code(ch, dist, budget, n, identities, colors, eps, mode, seed)
     report = monte_carlo(code, ch, dist, trials, seed=seed)
     data = report.to_dict()
     data["code"] = code.to_dict()
@@ -390,10 +379,7 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
     data["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
                                                   variant="K3")
     if merged.get("exact"):
-        try:
-            oracle = exact_error_probabilities(code, ch, report.pairs)
-        except TooLargeToEnumerate as exc:
-            _fail(EXIT_GUARD, str(exc))
+        oracle = exact_error_probabilities(code, ch, report.pairs)
         data["exact_lambda1"] = {str(k): v for k, v in
                                  sorted(oracle["lambda1"].items())}
         data["exact_lambda2"] = {f"{a}->{b}": v for (a, b), v in
@@ -442,8 +428,6 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
         det = det_feedback_capacity(ch)
         params = BoundParams.for_channel(ch, n=n, mu=mu)
         lo, hi = typical_size_bounds(ch, int(det.maximizer), n, eps)
-    except ZeroCapacityChannel as exc:
-        _fail(EXIT_INFEASIBLE, str(exc))
     except ValueError as exc:
         _fail(EXIT_CONFIG, str(exc))
     report = {
@@ -456,13 +440,10 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
     }
     if budget is not None:
         dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-        try:
-            report["image_size_log2_K3"] = image_size_bound(
-                params, ch, dist, budget, variant="K3")
-            report["image_size_log2_K4"] = image_size_bound(
-                params, ch, dist, budget, variant="K4")
-        except InfeasibleDistortion as exc:
-            _fail(EXIT_INFEASIBLE, str(exc))
+        report["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
+                                                        variant="K3")
+        report["image_size_log2_K4"] = image_size_bound(params, ch, dist, budget,
+                                                        variant="K4")
     _emit_json(report, merged.get("out"))
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .channel import StateDMC, cumulative, sample_rows
 from .capacity import (
     InputDistribution,
-    blahut_arimoto,
+    _require_positive_capacity,
+    _shannon,
     det_capacity_distortion,
     rand_capacity_distortion,
 )
@@ -239,21 +240,23 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
                             restarts: int = 32) -> TransmissionCode:
     """Random codebook over the feasible inputs with ML decoding.
 
-    Codewords are drawn i.i.d. from the capacity-achieving distribution of
-    the restricted averaged channel; duplicate codewords are resampled while
-    distinct ones remain available, and the best of several codebooks
-    (smallest measured maximal error) is kept.
+    The restricted averaged channel (the rows of the feasible inputs) must
+    have positive Shannon capacity, decided by the guard of every capacity.
+    Codewords are drawn i.i.d. from its capacity-achieving distribution, the
+    Frank-Wolfe Shannon solve of `capacity`; duplicate codewords are
+    resampled while distinct ones remain available, and the best of several
+    codebooks (smallest measured maximal error) is kept.
     """
     if M < 2:
         raise DegenerateCode("an inner code needs at least 2 messages")
     support = sorted(set(int(x) for x in feasible))
     if not support:
         raise InfeasibleDistortion(float("nan"))
-    cap, p_opt, _ = blahut_arimoto(ch.rows[support], tol=1e-9)
-    if len(support) > 1 and cap <= 1e-9:
-        raise ZeroCapacityChannel("restricted averaged channel has zero capacity")
     if len(support) == 1:
         raise ZeroCapacityChannel("a single feasible input cannot carry messages")
+    restricted = ch.rows[support]
+    _require_positive_capacity(restricted)
+    p_opt = _shannon(restricted).maximizer.p
     p_opt = np.where(p_opt < SUPPORT_TOL, 0.0, p_opt)
     p_opt /= p_opt.sum()
     active = [support[i] for i in np.flatnonzero(p_opt)]

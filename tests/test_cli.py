@@ -7,8 +7,9 @@ from click.testing import CliRunner
 
 from idsense.channel import channel_to_dict
 from idsense.cli import main
-from idsense.errors import NoConvergence
+from idsense.errors import NoConvergence, TooManyMessages
 from idsense.fixtures import flip_bsc, fixture_path
+from tests.conftest import budget_hides_the_useful_input, random_channel
 
 
 @pytest.fixture
@@ -140,10 +141,13 @@ def _no_convergence(*args, **kwargs):
     raise NoConvergence(100000, 7.8e-9)
 
 
-# A solver that gives up is neither a bad configuration nor a traceback: each
-# command's first solve, and the solve behind `bounds`' K2 cap, which runs
-# after the first one has returned.
-@pytest.mark.parametrize("target,command", [
+def _too_many_messages(*args, **kwargs):
+    raise TooManyMessages("injected")
+
+
+# Each command's first solve, and the solve behind `bounds`' K2 cap, which
+# runs after the first one has returned.
+each_command_solve = pytest.mark.parametrize("target,command", [
     ("idsense.cli.shannon_capacity_avg", ["capacity"]),
     ("idsense.cli.tradeoff_curve", ["tradeoff", "--grid", "0.3,0.45"]),
     ("idsense.cli.build_id_code", ["simulate", "--n", "4", "--identities", "4",
@@ -151,6 +155,10 @@ def _no_convergence(*args, **kwargs):
     ("idsense.cli.det_feedback_capacity", ["bounds", "--n", "8"]),
     ("idsense.capacity.rand_feedback_capacity", ["bounds", "--n", "8"]),
 ], ids=["capacity", "tradeoff", "simulate", "bounds", "bounds-K2"])
+
+
+# A solver that gives up is neither a bad configuration nor a traceback.
+@each_command_solve
 def test_no_convergence_exit_5(runner, monkeypatch, target, command):
     monkeypatch.setattr(target, _no_convergence)
     result = runner.invoke(main, [command[0], "--channel", "flip_bsc"] + command[1:])
@@ -159,6 +167,15 @@ def test_no_convergence_exit_5(runner, monkeypatch, target, command):
     assert ("error: no convergence after 100000 iterations (remaining gap 7.800e-09)"
             in result.output)
     assert "Traceback" not in result.output
+
+
+# A library error with no exit code of its own is a configuration error.
+@each_command_solve
+def test_other_library_error_exit_2(runner, monkeypatch, target, command):
+    monkeypatch.setattr(target, _too_many_messages)
+    result = runner.invoke(main, [command[0], "--channel", "flip_bsc"] + command[1:])
+    assert_config_error(result)
+    assert "error: injected" in result.output
 
 
 # Each command's stdout, pinned byte for byte in tests/data/cli/<channel>.<name>:
@@ -251,6 +268,28 @@ class TestSimulateCommand:
             "-D", "0.05", "--n", "4", "--identities", "4", "--colors", "2"])
         assert result.exit_code == 3
         assert "0.1" in result.output  # names the smallest feasible budget
+
+    @staticmethod
+    def run_on(runner, tmp_path, ch, *args):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(channel_to_dict(ch)))
+        return runner.invoke(main, ["simulate", "--channel", str(path), "--n", "4",
+                                    "--identities", "4", "--colors", "2", "--mode", "det",
+                                    *args])
+
+    def test_inner_solve_certified_exit_2(self, runner, tmp_path):
+        # the inner code's former Blahut-Arimoto solve exited 5 here after
+        # about 2 s; the Frank-Wolfe solve certifies it, and 2 colors do not fit
+        ch = random_channel(np.random.default_rng(10120), 2, 2, 2)
+        result = self.run_on(runner, tmp_path, ch)
+        assert_config_error(result)
+        assert "M=2 messages exceed" in result.output
+
+    def test_restricted_zero_capacity_exit_3(self, runner, tmp_path):
+        result = self.run_on(runner, tmp_path, budget_hides_the_useful_input(), "-D", "0.3")
+        assert result.exit_code == 3
+        assert "error: averaged channel has zero Shannon capacity" in result.output
+        assert "Traceback" not in result.output
 
     def test_negative_eps_exit_2(self, runner):
         args = [a if a != "0.3" else "-0.1" for a in self.ARGS]

@@ -1,9 +1,10 @@
+import math
 import signal
 
 import numpy as np
 import pytest
 
-from idsense.capacity import det_capacity_distortion
+from idsense.capacity import det_capacity_distortion, shannon_capacity_avg
 from idsense.channel import StateDMC
 from idsense.coding import (
     ABORT_COLOR,
@@ -27,6 +28,7 @@ from idsense.errors import (
 )
 from idsense.estimation import hamming_distortion
 from idsense.typicality import enumerate_blocks, enumerate_typical_set
+from tests.conftest import budget_hides_the_useful_input, random_channel
 
 
 def noiseless_binary():
@@ -206,6 +208,26 @@ class TestBuildIDCode:
         with pytest.raises(DegenerateCode, match="eps"):
             build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                           eps=eps, mode="det", master_seed=1)
+
+    # the inner code's former Blahut-Arimoto solve of these channels raised
+    # NoConvergence after 100,000 iterations (about 2 s)
+    @pytest.mark.parametrize("seed,shape", [(10106, (3, 2, 2)), (10134, (4, 3, 2))])
+    def test_inner_solve_certified(self, ham2, seed, shape):
+        ch = random_channel(np.random.default_rng(seed), *shape)
+        try:
+            code = build_id_code(ch, ham2, 1.0, 4, 4, 2, 0.3, "det", 1)
+        except TooManyMessages:
+            return
+        assert code.inner.max_error < 0.5
+
+    def test_restricted_zero_capacity(self, ham2):
+        ch = budget_hides_the_useful_input()
+        # a Z channel with crossover 1/2 over inputs {0 or 1, 2}: log2(5/4) bits
+        assert shannon_capacity_avg(ch).value == pytest.approx(math.log2(1.25))
+        assert det_capacity_distortion(ch, ham2, 0.3).value == pytest.approx(1.0)
+        with pytest.raises(ZeroCapacityChannel):
+            build_id_code(ch, ham2, 0.3, n=4, identities=4, colors=2,
+                          eps=0.3, mode="det", master_seed=0)
 
     def test_feasible_symbols_only(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
