@@ -1,5 +1,11 @@
 """Command-line surface: capacity, tradeoff, estimate, simulate, bounds.
 
+Every command reads its settings on one path (`_command`): each setting
+comes from its flag if the user set it, else from the `--config` JSON
+object under the same name, else from the option's default, and is checked
+as the flag is.  A command body only computes; it returns a JSON report
+and, if the command has one, a CSV table.
+
 Every command is deterministic given (config, seed) and emits byte-identical
 artifacts on re-runs.  Exit codes: 0 success, 2 config or validation error,
 3 infeasible budget or zero-capacity channel, 4 oracle guard breach when an
@@ -15,6 +21,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from .capacity import (
@@ -48,6 +55,7 @@ from .sim import (
     brute_force_estimator_distortion,
     exact_error_probabilities,
     monte_carlo,
+    require_exact_enumerable,
 )
 from .typicality import ENUMERATION_GUARD, typical_size_bounds
 
@@ -167,39 +175,19 @@ def _load_config(config: str | None) -> dict:
     return data
 
 
-def _merged(config: dict, **flags) -> dict:
-    """Config file values, overridden by any flag the user actually set."""
-    merged = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _require(merged: dict, key: str):
-    if merged.get(key) is None:
-        _fail(EXIT_CONFIG, f"missing required parameter {key!r}")
-    return merged[key]
-
-
-def _finite(merged: dict, key: str, default=None) -> float | None:
-    """merged[key] as a finite float, or the default when it is unset."""
-    if merged.get(key) is None:
-        return default
+def _finite(key: str, value) -> float:
+    """value as a finite float; anything else exits 2."""
     try:
-        value = float(merged[key])
+        value = float(value)
     except (TypeError, ValueError):
-        _fail(EXIT_CONFIG, f"{key} must be a number, got {merged[key]!r}")
+        _fail(EXIT_CONFIG, f"{key} must be a number, got {value!r}")
     if not math.isfinite(value):
         _fail(EXIT_CONFIG, f"{key} must be finite, got {value}")
     return value
 
 
-def _integer(merged: dict, key: str, default=None) -> int | None:
-    """merged[key] as an int, or the default when it is unset."""
-    value = merged.get(key)
-    if value is None:
-        return default
+def _integer(key: str, value) -> int:
+    """value as an int; a non-integral value (2.5, "four") exits 2."""
     try:
         if isinstance(value, float) and not value.is_integer():
             raise ValueError
@@ -208,45 +196,91 @@ def _integer(merged: dict, key: str, default=None) -> int | None:
         _fail(EXIT_CONFIG, f"{key} must be an integer, got {value!r}")
 
 
+def _read(param: click.Parameter, value):
+    """One setting, checked by its option's type whether it came from the
+    flag, the config file or the default: strict integers, finite floats,
+    and the type's own conversion for choices, strings and `--exact`."""
+    key = param.name
+    if isinstance(param.type, click.types.IntParamType):
+        return _integer(key, value)
+    if isinstance(param.type, click.types.FloatParamType):
+        return _finite(key, value)
+    if not isinstance(value, (str, bool) if param.is_flag else str):
+        _fail(EXIT_CONFIG, f"{key} must be {'true or false' if param.is_flag else 'a string'}"
+                           f", got {value!r}")
+    try:
+        return param.type.convert(value, param, None)
+    except click.BadParameter as exc:
+        _fail(EXIT_CONFIG, f"{key}: {exc.message}")
+
+
 @click.group()
 def main():
     """Identification capacities and codes for state-dependent channels."""
 
 
-_common = [
+_COMMON = [
     click.option("--channel", default=None, help="channel JSON file or fixture name"),
     click.option("--config", default=None, help="JSON config pinning an experiment"),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default=None),
+    click.option("--format", type=click.Choice(["json", "csv"]), default="json"),
     click.option("--out", default=None, help="output path (default stdout)"),
 ]
+_DISTORTION = click.option("--distortion", default=None,
+                           help="distortion JSON file or 'hamming'")
+_BUDGET = click.option("-D", "--budget", "budget", type=float, default=None)
 
 
-def _with_common(fn):
-    """The shared options, and the one table of exit codes for library errors."""
-    @functools.wraps(fn)
-    def command(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ZeroCapacityChannel, InfeasibleDistortion) as exc:
-            _fail(EXIT_INFEASIBLE, str(exc))
-        except TooLargeToEnumerate as exc:
-            _fail(EXIT_GUARD, str(exc))
-        except NoConvergence as exc:
-            _fail(EXIT_SOLVER, str(exc))
-        except IdsenseError as exc:
-            _fail(EXIT_CONFIG, str(exc))
+def _command(*options, required=()):
+    """A command of `main` with the common options and `options`.
 
-    for opt in reversed(_common):
-        command = opt(command)
-    return command
+    Each setting comes from its flag if the user set it, else from the
+    config file, else from the option's default, and is checked by `_read`.
+    `channel` and the `required` settings must be set.  The body is called
+    with the channel, its inline distortion matrix (or None) and every
+    other setting; it returns `(report, csv_rows)`, written as CSV when
+    `format` is csv and the command has rows, else as JSON.  The one table
+    of exit codes for library errors is here.
+    """
+    def decorate(body):
+        @functools.wraps(body)
+        def command(**flags):
+            ctx = click.get_current_context()
+            config = _load_config(flags.pop("config"))
+            params = {param.name: param for param in ctx.command.params}
+            settings = {}
+            for key, value in flags.items():
+                if ctx.get_parameter_source(key) is ParameterSource.DEFAULT \
+                        and config.get(key) is not None:
+                    value = config[key]
+                settings[key] = None if value is None else _read(params[key], value)
+            for key in ("channel", *required):
+                if settings[key] is None:
+                    _fail(EXIT_CONFIG, f"missing required parameter {key!r}")
+            ch, inline = _resolve_channel(settings.pop("channel"))
+            try:
+                report, rows = body(ch, inline, **settings)
+            except (ZeroCapacityChannel, InfeasibleDistortion) as exc:
+                _fail(EXIT_INFEASIBLE, str(exc))
+            except TooLargeToEnumerate as exc:
+                _fail(EXIT_GUARD, str(exc))
+            except NoConvergence as exc:
+                _fail(EXIT_SOLVER, str(exc))
+            except IdsenseError as exc:
+                _fail(EXIT_CONFIG, str(exc))
+            if settings["format"] == "csv" and rows is not None:
+                _emit_csv(rows, settings["out"])
+            else:
+                _emit_json(report, settings["out"])
+
+        for opt in reversed(_COMMON + list(options)):
+            command = opt(command)
+        return main.command()(command)
+    return decorate
 
 
-@main.command()
-@_with_common
-def capacity(channel, config, fmt, out):
+@_command()
+def capacity(ch, inline, **_):
     """Shannon and feedback ID capacities of the averaged channel."""
-    merged = _merged(_load_config(config), channel=channel, format=fmt, out=out)
-    ch, _ = _resolve_channel(_require(merged, "channel"))
     shannon = shannon_capacity_avg(ch)
     det = det_feedback_capacity(ch)
     rand = rand_feedback_capacity(ch)
@@ -259,53 +293,35 @@ def capacity(channel, config, fmt, out):
         "rand_f_maximizer": rand.maximizer.p.tolist(),
         "rand_f_gap": rand.optimality_gap,
     }
-    if merged.get("format") == "csv":
-        rows = [["quantity", "value"],
-                ["shannon", shannon.value],
-                ["det_f", det.value],
-                ["rand_f", rand.value]]
-        _emit_csv(rows, merged.get("out"))
-    else:
-        _emit_json(report, merged.get("out"))
+    rows = [["quantity", "value"],
+            ["shannon", shannon.value],
+            ["det_f", det.value],
+            ["rand_f", rand.value]]
+    return report, rows
 
 
-@main.command()
-@_with_common
-@click.option("--distortion", default=None, help="distortion JSON file or 'hamming'")
-@click.option("--grid", default=None, help="budgets as 'a:b:step' or 'a,b,c'")
-@click.option("--mode", type=click.Choice(["det", "rand", "both"]), default=None)
-def tradeoff(channel, config, fmt, out, distortion, grid, mode):
+@_command(_DISTORTION,
+          click.option("--grid", default=None, help="budgets as 'a:b:step' or 'a,b,c'"),
+          click.option("--mode", type=click.Choice(["det", "rand", "both"]), default="det"),
+          required=("grid",))
+def tradeoff(ch, inline, distortion, grid, mode, **_):
     """Capacity-distortion curve over a budget grid."""
-    merged = _merged(_load_config(config), channel=channel, format=fmt, out=out,
-                     distortion=distortion, grid=grid, mode=mode)
-    ch, inline = _resolve_channel(_require(merged, "channel"))
-    dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-    budgets = _parse_grid(str(_require(merged, "grid")))
-    mode = merged.get("mode") or "det"
+    dist = _resolve_distortion(distortion, ch, inline)
+    budgets = _parse_grid(grid)
     modes = ["det", "rand"] if mode == "both" else [mode]
     curves = {m: tradeoff_curve(ch, dist, budgets, m) for m in modes}
-    if merged.get("format") == "csv":
-        rows = [["mode", "D", "feasible", "value"]]
-        for m in modes:
-            for point in curves[m]:
-                rows.append([m, point["D"], point["feasible"],
-                             point["value"] if point["value"] is not None else ""])
-        _emit_csv(rows, merged.get("out"))
-    else:
-        _emit_json({"grid": budgets, "curves": curves}, merged.get("out"))
+    rows = [["mode", "D", "feasible", "value"]]
+    for m in modes:
+        for point in curves[m]:
+            rows.append([m, point["D"], point["feasible"],
+                         point["value"] if point["value"] is not None else ""])
+    return {"grid": budgets, "curves": curves}, rows
 
 
-@main.command()
-@_with_common
-@click.option("--distortion", default=None, help="distortion JSON file or 'hamming'")
-@click.option("-D", "--budget", "budget", type=float, default=None)
-def estimate(channel, config, fmt, out, distortion, budget):
+@_command(_DISTORTION, _BUDGET)
+def estimate(ch, inline, distortion, budget, out, **_):
     """Optimal estimator table, distortion profile, and feasible input set."""
-    merged = _merged(_load_config(config), channel=channel, format=fmt, out=out,
-                     distortion=distortion, budget=budget)
-    ch, inline = _resolve_channel(_require(merged, "channel"))
-    dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-    budget = _finite(merged, "budget")
+    dist = _resolve_distortion(distortion, ch, inline)
     table = optimal_estimator(ch, dist)
     profile = distortion_profile(ch, dist).per_input
     report = {
@@ -322,54 +338,33 @@ def estimate(channel, config, fmt, out, distortion, budget):
         diff = float(np.abs(oracle_profile - profile).max())
         report["oracle_max_diff"] = diff
         if diff > 1e-9:
-            _emit_json(report, merged.get("out"))
+            _emit_json(report, out)
             _fail(1, f"estimator disagrees with the exhaustive oracle by {diff:.3e}")
-    if merged.get("format") == "csv":
-        rows = [["x", "d_star"]] + [[x, float(v)] for x, v in enumerate(profile)]
-        _emit_csv(rows, merged.get("out"))
-    else:
-        _emit_json(report, merged.get("out"))
+    return report, [["x", "d_star"]] + [[x, float(v)] for x, v in enumerate(profile)]
 
 
-@main.command()
-@_with_common
-@click.option("--distortion", default=None, help="distortion JSON file or 'hamming'")
-@click.option("-D", "--budget", "budget", type=float, default=None)
-@click.option("--mode", type=click.Choice(["det", "rand"]), default=None)
-@click.option("--n", "n", type=int, default=None, help="pilot block length")
-@click.option("--identities", type=int, default=None)
-@click.option("--colors", type=int, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--trials", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--exact", is_flag=True, default=False,
-              help="demand the exact error oracle alongside Monte Carlo")
-def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
-             colors, eps, trials, seed, exact):
+@_command(_DISTORTION, _BUDGET,
+          click.option("--mode", type=click.Choice(["det", "rand"]), default="det"),
+          click.option("--n", "n", type=int, default=None, help="pilot block length"),
+          click.option("--identities", type=int, default=None),
+          click.option("--colors", type=int, default=None),
+          click.option("--eps", type=float, default=0.1),
+          click.option("--trials", type=int, default=10_000),
+          click.option("--seed", type=int, default=0),
+          click.option("--exact", is_flag=True, default=False,
+                       help="demand the exact error oracle alongside Monte Carlo"),
+          required=("n", "identities", "colors"))
+def simulate(ch, inline, distortion, budget, mode, n, identities, colors, eps,
+             trials, seed, exact, **_):
     """Build a feedback ID code, simulate it, and report errors + distortion."""
-    merged = _merged(_load_config(config), channel=channel, format=fmt, out=out,
-                     distortion=distortion, budget=budget, mode=mode, n=n,
-                     identities=identities, colors=colors, eps=eps,
-                     trials=trials, seed=seed)
-    if exact:
-        merged["exact"] = True
-    ch, inline = _resolve_channel(_require(merged, "channel"))
-    dist = _resolve_distortion(merged.get("distortion"), ch, inline)
-    for key in ("n", "identities", "colors"):
-        _require(merged, key)
-    n = _integer(merged, "n")
-    identities = _integer(merged, "identities")
-    colors = _integer(merged, "colors")
-    eps = _finite(merged, "eps", 0.1)
-    trials = _integer(merged, "trials", 10_000)
+    dist = _resolve_distortion(distortion, ch, inline)
     if trials < 1:
         _fail(EXIT_CONFIG, "trials must be >= 1")
-    seed = _integer(merged, "seed", 0)
-    mode = merged.get("mode") or "det"
-    budget = _finite(merged, "budget")
     if budget is None:
         budget = float(distortion_profile(ch, dist).per_input.max())
     code = build_id_code(ch, dist, budget, n, identities, colors, eps, mode, seed)
+    if exact:  # refuse past the enumeration guard before any trial is drawn
+        require_exact_enumerable(code, ch)
     report = monte_carlo(code, ch, dist, trials, seed=seed)
     data = report.to_dict()
     data["code"] = code.to_dict()
@@ -378,52 +373,39 @@ def simulate(channel, config, fmt, out, distortion, budget, mode, n, identities,
     data["image_size_log2_K1"] = image_size_bound(params, ch)
     data["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
                                                   variant="K3")
-    if merged.get("exact"):
+    if exact:
         oracle = exact_error_probabilities(code, ch, report.pairs)
         data["exact_lambda1"] = {str(k): v for k, v in
                                  sorted(oracle["lambda1"].items())}
         data["exact_lambda2"] = {f"{a}->{b}": v for (a, b), v in
                                  sorted(oracle["lambda2"].items())}
-    if merged.get("format") == "csv":
-        rows = [["i", "iprime", "trials", "accept_rate", "stderr"]]
-        for i in report.identities:
-            p = 1.0 - report.lambda1_per_identity[i]
-            rows.append([i, i, trials, p, _rate_stderr(p, trials)])
-        for (a, b) in report.pairs:
-            p = report.lambda2_per_pair[(a, b)]
-            rows.append([a, b, trials, p, _rate_stderr(p, trials)])
-        rows.append([])
-        rows.append(["t", "d_t_hat", "stderr"])
-        for t in range(code.m):
-            rows.append([t + 1, float(report.d_t_hat[t]),
-                         float(report.d_t_stderr[t])])
-        _emit_csv(rows, merged.get("out"))
-    else:
-        _emit_json(data, merged.get("out"))
+    rows = [["i", "iprime", "trials", "accept_rate", "stderr"]]
+    for i in report.identities:
+        p = 1.0 - report.lambda1_per_identity[i]
+        rows.append([i, i, trials, p, _rate_stderr(p, trials)])
+    for (a, b) in report.pairs:
+        p = report.lambda2_per_pair[(a, b)]
+        rows.append([a, b, trials, p, _rate_stderr(p, trials)])
+    rows.append([])
+    rows.append(["t", "d_t_hat", "stderr"])
+    for t in range(code.m):
+        rows.append([t + 1, float(report.d_t_hat[t]),
+                     float(report.d_t_stderr[t])])
+    return data, rows
 
 
-@main.command()
-@_with_common
-@click.option("--distortion", default=None, help="distortion JSON file or 'hamming'")
-@click.option("-D", "--budget", "budget", type=float, default=None)
-@click.option("--n", "n", type=int, default=None, help="blocklength")
-@click.option("--eps", type=float, default=None)
-@click.option("--mu", type=float, default=None, help="converse slack in (0,1)")
-def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
+@_command(_DISTORTION, _BUDGET,
+          click.option("--n", "n", type=int, default=None, help="blocklength"),
+          click.option("--eps", type=float, default=0.1),
+          click.option("--mu", type=float, default=0.5, help="converse slack in (0,1)"),
+          required=("n",))
+def bounds(ch, inline, distortion, budget, n, eps, mu, **_):
     """Typical-set size exponents and image-size caps at a given blocklength.
 
     typical_log2_size_lower/upper are the size lemma's exponents
     n(H -+ c(eps)).  The lower one bounds log2 |T| only together with the
-    typical set's mass factor, and only for large n.
+    typical set's mass factor, and only for large n.  JSON only.
     """
-    merged = _merged(_load_config(config), channel=channel, format=fmt, out=out,
-                     distortion=distortion, budget=budget, n=n, eps=eps, mu=mu)
-    ch, inline = _resolve_channel(_require(merged, "channel"))
-    _require(merged, "n")
-    n = _integer(merged, "n")
-    eps = _finite(merged, "eps", 0.1)
-    mu = _finite(merged, "mu", 0.5)
-    budget = _finite(merged, "budget")
     try:
         det = det_feedback_capacity(ch)
         params = BoundParams.for_channel(ch, n=n, mu=mu)
@@ -439,12 +421,12 @@ def bounds(channel, config, fmt, out, distortion, budget, n, eps, mu):
         "image_size_log2_K2": image_size_bound(params, ch, variant="K2"),
     }
     if budget is not None:
-        dist = _resolve_distortion(merged.get("distortion"), ch, inline)
+        dist = _resolve_distortion(distortion, ch, inline)
         report["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
                                                         variant="K3")
         report["image_size_log2_K4"] = image_size_bound(params, ch, dist, budget,
                                                         variant="K4")
-    _emit_json(report, merged.get("out"))
+    return report, None
 
 
 if __name__ == "__main__":

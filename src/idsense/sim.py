@@ -26,7 +26,8 @@ from .estimation import (
     optimal_estimator,
     posterior_cost,
 )
-from .typicality import chunks, counts_typical, enumerate_blocks, symbol_counts
+from .typicality import chunks, counts_typical, enumerate_blocks, require_enumerable, \
+    symbol_counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,6 +298,13 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
 def _running_sum(total: float, terms: np.ndarray) -> float:
     """total + terms[0] + terms[1] + ..., added one at a time in this order."""
     return float(np.cumsum(np.concatenate(([total], terms)))[-1])
+
+
+def require_exact_enumerable(code: IDFeedbackCode, ch: StateDMC) -> None:
+    """Raise the `TooLargeToEnumerate` that `exact_error_probabilities` would,
+    without enumerating: the |Y|^k tails first, then the |Y|^n pilot blocks."""
+    require_enumerable(code.inner.rows.shape[1], len(code.inner.codewords[0]))
+    require_enumerable(ch.output_size, code.n)
 
 
 def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,

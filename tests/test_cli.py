@@ -137,6 +137,49 @@ def test_non_numeric_setting_exit_2(runner, tmp_path, command, key, value):
     assert key in result.output
 
 
+# A config value is checked as its flag is, by the option's own type.
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "mode", "xyz"),
+    ("tradeoff", "mode", "xyz"),
+    ("capacity", "channel", 5),
+    ("estimate", "distortion", 3),
+    ("capacity", "out", 5),
+    ("capacity", "format", "xml"),
+    ("simulate", "exact", "maybe"),
+])
+def test_bad_config_value_exit_2(runner, tmp_path, monkeypatch, command, key, value):
+    monkeypatch.chdir(tmp_path)  # a misread `out` must not land in the source tree
+    config = {"channel": "flip_bsc", "n": 4, "identities": 4, "colors": 2,
+              "trials": 10, "grid": "0.3,0.45", key: value}
+    Path("cfg.json").write_text(json.dumps(config))
+    result = runner.invoke(main, [command, "--config", "cfg.json"])
+    assert_config_error(result)
+    assert f"error: {key}" in result.output
+
+
+# "no" is a boolean to click, as it is to `--exact`'s own type.
+@pytest.mark.parametrize("exact", [False, "no"])
+def test_config_exact_off(runner, tmp_path, exact):
+    config = {"channel": "flip_bsc", "n": 4, "identities": 4, "colors": 2,
+              "trials": 10, "exact": exact}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["simulate", "--config", str(path)])
+    assert result.exit_code == 0
+    assert "exact_lambda1" not in json.loads(result.output)
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "not-json", "list"])
+def test_bad_config_file_exit_2(runner, tmp_path, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    result = runner.invoke(main, ["capacity", "--channel", "flip_bsc", "--config", str(path)])
+    assert_config_error(result)
+    assert "error: config file" in result.output
+
+
 def _no_convergence(*args, **kwargs):
     raise NoConvergence(100000, 7.8e-9)
 
@@ -208,6 +251,36 @@ PINNED_CASES = sorted(
     for channel, name, args in PINNED_CASES])
 def test_pinned_artifacts(runner, channel, name, args):
     result = runner.invoke(main, [args[0], "--channel", channel] + args[1:])
+    assert result.exit_code == 0
+    expected = Path(__file__).parent / "data" / "cli" / f"{channel}.{name}"
+    assert result.stdout_bytes == expected.read_bytes()
+
+
+def _as_config(channel, flags):
+    """A pinned command line's flags as the config object that says the same."""
+    config, rest = {"channel": channel}, list(flags)
+    while rest:
+        flag = rest.pop(0)
+        key = "budget" if flag == "-D" else flag.lstrip("-")
+        if key == "exact":
+            config[key] = True
+            continue
+        text = rest.pop(0)
+        try:
+            config[key] = json.loads(text)
+        except ValueError:  # a name or a grid such as 0:1:0.05
+            config[key] = text
+    return config
+
+
+# The same bytes when every setting comes from a config file and no flag is set.
+@pytest.mark.parametrize("channel,name,args", [
+    pytest.param(channel, name, args, id=f"{name}-{channel}")
+    for channel, name, args in PINNED_CASES])
+def test_pinned_artifacts_from_config(runner, tmp_path, channel, name, args):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_as_config(channel, args[1:])))
+    result = runner.invoke(main, [args[0], "--config", str(path)])
     assert result.exit_code == 0
     expected = Path(__file__).parent / "data" / "cli" / f"{channel}.{name}"
     assert result.stdout_bytes == expected.read_bytes()
@@ -321,6 +394,18 @@ class TestSimulateCommand:
             "--n", "25", "--identities", "4", "--colors", "4", "--eps", "0.3",
             "--trials", "100", "--exact"])
         assert result.exit_code == 4
+
+    def test_exact_guard_before_any_trial(self, runner, monkeypatch):
+        # the guard once refused the code only after the whole Monte Carlo
+        def no_trials(*args, **kwargs):
+            raise AssertionError("monte_carlo ran past the enumeration guard")
+
+        monkeypatch.setattr("idsense.cli.monte_carlo", no_trials)
+        result = runner.invoke(main, [
+            "simulate", "--channel", "flip_bsc", "--n", "25", "--identities", "4",
+            "--colors", "2", "--trials", "300000", "--exact"])
+        assert result.exit_code == 4
+        assert "error: 2^25 blocks exceed the enumeration guard" in result.output
 
     def test_csv_format(self, runner):
         result = runner.invoke(main, self.ARGS + ["--format", "csv"])
