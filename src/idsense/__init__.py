@@ -31,7 +31,6 @@ from .estimation import (
     posterior_state,
 )
 from .capacity import (
-    BoundParams,
     CapacityResult,
     InputDistribution,
     binary_entropy,

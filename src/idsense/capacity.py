@@ -8,13 +8,15 @@ capacity (h = 0, the simplex), its distortion-constrained variant (h = 0,
 the simplex cut by the budget) and the Shannon capacity (h(x) = H(w_x), so
 f = I(P;W) and the gap is Blahut's bound gap).  The Shannon solve and the
 zero-capacity decision take a row matrix, so the inner transmission code
-uses them on its restricted channel too.  All quantities are in bits.
+uses them on its restricted channel too.  The image-size converse
+(`image_size_bound`) solves nothing: it is one formula over a rate the
+caller has already computed.  All quantities are in bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .channel import StateDMC
 from .errors import (
     DegenerateCode,
     InfeasibleDistortion,
+    InvalidParameter,
     NoConvergence,
     NotADistribution,
     ZeroCapacityChannel,
@@ -360,51 +363,17 @@ def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
 
 # --- image-size (converse) bounds -------------------------------------------
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameters of the image-size bounds K1-K4 (log2 scale).
+def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
+    """log2 of the image-size cap n * rate + alpha * sqrt(n), alpha = sqrt(beta / mu).
 
-    beta = max(log2(3)^2, log2(|Y|)^2) and alpha = sqrt(beta / mu) are
-    derived from (mu, |Y|).
+    beta = max(log2(3)^2, log2(|Y|)^2).  The converse caps det_f, rand_f
+    and their distortion-constrained values alike (K1-K4); the caller passes
+    whichever of those rates it has computed.
     """
-
-    n: int
-    mu: float
-    output_size: int = 2
-    beta: float = field(init=False)
-    alpha: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        beta = max(math.log2(3.0) ** 2, math.log2(self.output_size) ** 2)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", math.sqrt(beta / self.mu))
-
-    @classmethod
-    def for_channel(cls, ch: StateDMC, n: int, mu: float) -> "BoundParams":
-        return cls(n=n, mu=mu, output_size=ch.output_size)
-
-
-def image_size_bound(params: BoundParams, ch: StateDMC,
-                     dist: DistortionMatrix | None = None,
-                     budget: float | None = None,
-                     variant: str = "K1") -> float:
-    """log2 of the image-size cap: n * Hmax + alpha * sqrt(n)."""
-    if variant == "K1":
-        hmax = _best_row(ch.rows, range(ch.input_size)).value
-    elif variant == "K2":
-        hmax = rand_feedback_capacity(ch).value
-    elif variant in ("K3", "K4"):
-        if dist is None or budget is None:
-            raise ValueError(f"variant {variant} needs a distortion matrix and budget")
-        if variant == "K3":
-            hmax = det_capacity_distortion(ch, dist, budget).value
-        else:
-            hmax = rand_capacity_distortion(ch, dist, budget).value
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return params.n * hmax + params.alpha * math.sqrt(params.n)
+    if not 0.0 < mu < 1.0:
+        raise InvalidParameter("mu must lie in (0, 1)")
+    beta = max(math.log2(3.0) ** 2, math.log2(output_size) ** 2)
+    return n * rate + math.sqrt(beta / mu) * math.sqrt(n)
 
 
 def rate_of_code(num_identities: int, blocklength: int) -> float:

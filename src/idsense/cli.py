@@ -3,13 +3,15 @@
 Every command reads its settings on one path (`_command`): each setting
 comes from its flag if the user set it, else from the `--config` JSON
 object under the same name, else from the option's default, and is checked
-as the flag is.  A command body only computes; it returns a JSON report
-and, if the command has one, a CSV table.
+as the flag is; it also loads the channel and the `--distortion` matrix.
+A command body only computes; it returns a JSON report and, if the command
+has one, a CSV table.
 
 Every command is deterministic given (config, seed) and emits byte-identical
-artifacts on re-runs.  Exit codes: 0 success, 2 config or validation error,
-3 infeasible budget or zero-capacity channel, 4 oracle guard breach when an
-exact cross-check was demanded, 5 a solver that did not converge.
+artifacts on re-runs.  Exit codes: 0 success, 2 config or validation error
+(an unwritable `--out` too), 3 infeasible budget or zero-capacity channel,
+4 oracle guard breach when an exact cross-check was demanded, 5 a solver
+that did not converge.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from click.core import ParameterSource
 import numpy as np
 
 from .capacity import (
-    BoundParams,
+    CapacityResult,
+    det_capacity_distortion,
     det_feedback_capacity,
     image_size_bound,
+    rand_capacity_distortion,
     rand_feedback_capacity,
     rate_of_code,
     shannon_capacity_avg,
@@ -140,7 +144,10 @@ def _parse_grid(grid: str) -> list[float]:
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            _fail(EXIT_CONFIG, f"cannot write {out!r}: {exc}")
     else:
         click.echo(text, nl=False)
 
@@ -176,8 +183,10 @@ def _load_config(config: str | None) -> dict:
 
 
 def _finite(key: str, value) -> float:
-    """value as a finite float; anything else exits 2."""
+    """value as a finite float; anything else, a JSON boolean too, exits 2."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = float(value)
     except (TypeError, ValueError):
         _fail(EXIT_CONFIG, f"{key} must be a number, got {value!r}")
@@ -187,9 +196,9 @@ def _finite(key: str, value) -> float:
 
 
 def _integer(key: str, value) -> int:
-    """value as an int; a non-integral value (2.5, "four") exits 2."""
+    """value as an int; a non-integral value (2.5, "four", true) exits 2."""
     try:
-        if isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise ValueError
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -236,10 +245,11 @@ def _command(*options, required=()):
     Each setting comes from its flag if the user set it, else from the
     config file, else from the option's default, and is checked by `_read`.
     `channel` and the `required` settings must be set.  The body is called
-    with the channel, its inline distortion matrix (or None) and every
-    other setting; it returns `(report, csv_rows)`, written as CSV when
-    `format` is csv and the command has rows, else as JSON.  The one table
-    of exit codes for library errors is here.
+    with the channel and every other setting, `distortion` resolved to a
+    `DistortionMatrix` if the command declares it.  It returns
+    `(report, csv_rows)`, written as CSV when `format` is csv and the
+    command has rows, else as JSON.  The one table of exit codes for library
+    errors is here.
     """
     def decorate(body):
         @functools.wraps(body)
@@ -257,8 +267,11 @@ def _command(*options, required=()):
                 if settings[key] is None:
                     _fail(EXIT_CONFIG, f"missing required parameter {key!r}")
             ch, inline = _resolve_channel(settings.pop("channel"))
+            if "distortion" in settings:
+                settings["distortion"] = _resolve_distortion(settings["distortion"], ch,
+                                                             inline)
             try:
-                report, rows = body(ch, inline, **settings)
+                report, rows = body(ch, **settings)
             except (ZeroCapacityChannel, InfeasibleDistortion) as exc:
                 _fail(EXIT_INFEASIBLE, str(exc))
             except TooLargeToEnumerate as exc:
@@ -279,7 +292,7 @@ def _command(*options, required=()):
 
 
 @_command()
-def capacity(ch, inline, **_):
+def capacity(ch, **_):
     """Shannon and feedback ID capacities of the averaged channel."""
     shannon = shannon_capacity_avg(ch)
     det = det_feedback_capacity(ch)
@@ -304,12 +317,11 @@ def capacity(ch, inline, **_):
           click.option("--grid", default=None, help="budgets as 'a:b:step' or 'a,b,c'"),
           click.option("--mode", type=click.Choice(["det", "rand", "both"]), default="det"),
           required=("grid",))
-def tradeoff(ch, inline, distortion, grid, mode, **_):
+def tradeoff(ch, distortion, grid, mode, **_):
     """Capacity-distortion curve over a budget grid."""
-    dist = _resolve_distortion(distortion, ch, inline)
     budgets = _parse_grid(grid)
     modes = ["det", "rand"] if mode == "both" else [mode]
-    curves = {m: tradeoff_curve(ch, dist, budgets, m) for m in modes}
+    curves = {m: tradeoff_curve(ch, distortion, budgets, m) for m in modes}
     rows = [["mode", "D", "feasible", "value"]]
     for m in modes:
         for point in curves[m]:
@@ -319,21 +331,20 @@ def tradeoff(ch, inline, distortion, grid, mode, **_):
 
 
 @_command(_DISTORTION, _BUDGET)
-def estimate(ch, inline, distortion, budget, out, **_):
+def estimate(ch, distortion, budget, out, **_):
     """Optimal estimator table, distortion profile, and feasible input set."""
-    dist = _resolve_distortion(distortion, ch, inline)
-    table = optimal_estimator(ch, dist)
-    profile = distortion_profile(ch, dist).per_input
+    table = optimal_estimator(ch, distortion)
+    profile = distortion_profile(ch, distortion).per_input
     report = {
         "estimator": table.h.tolist(),
         "profile": profile.tolist(),
     }
     if budget is not None:
         report["budget"] = budget
-        report["feasible_inputs"] = sorted(feasible_inputs(ch, dist, budget))
+        report["feasible_inputs"] = sorted(feasible_inputs(ch, distortion, budget))
     n_tables = ch.state_size ** (ch.input_size * ch.output_size)
     if n_tables <= ENUMERATION_GUARD:
-        oracle_profile, oracle_table = brute_force_estimator_distortion(ch, dist)
+        oracle_profile, oracle_table = brute_force_estimator_distortion(ch, distortion)
         report["oracle_profile"] = oracle_profile.tolist()
         diff = float(np.abs(oracle_profile - profile).max())
         report["oracle_max_diff"] = diff
@@ -354,25 +365,25 @@ def estimate(ch, inline, distortion, budget, out, **_):
           click.option("--exact", is_flag=True, default=False,
                        help="demand the exact error oracle alongside Monte Carlo"),
           required=("n", "identities", "colors"))
-def simulate(ch, inline, distortion, budget, mode, n, identities, colors, eps,
+def simulate(ch, distortion, budget, mode, n, identities, colors, eps,
              trials, seed, exact, **_):
     """Build a feedback ID code, simulate it, and report errors + distortion."""
-    dist = _resolve_distortion(distortion, ch, inline)
     if trials < 1:
         _fail(EXIT_CONFIG, "trials must be >= 1")
     if budget is None:
-        budget = float(distortion_profile(ch, dist).per_input.max())
-    code = build_id_code(ch, dist, budget, n, identities, colors, eps, mode, seed)
+        budget = float(distortion_profile(ch, distortion).per_input.max())
+    code = build_id_code(ch, distortion, budget, n, identities, colors, eps, mode, seed)
     if exact:  # refuse past the enumeration guard before any trial is drawn
         require_exact_enumerable(code, ch)
-    report = monte_carlo(code, ch, dist, trials, seed=seed)
+    report = monte_carlo(code, ch, distortion, trials, seed=seed)
     data = report.to_dict()
     data["code"] = code.to_dict()
     data["rate"] = rate_of_code(identities, code.m)
-    params = BoundParams.for_channel(ch, n=code.m, mu=0.5)
-    data["image_size_log2_K1"] = image_size_bound(params, ch)
-    data["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
-                                                  variant="K3")
+    det = det_feedback_capacity(ch)
+    det_within_budget = det_capacity_distortion(ch, distortion, budget)
+    data["image_size_log2_K1"] = image_size_bound(code.m, 0.5, ch.output_size, det.value)
+    data["image_size_log2_K3"] = image_size_bound(code.m, 0.5, ch.output_size,
+                                                  det_within_budget.value)
     if exact:
         oracle = exact_error_probabilities(code, ch, report.pairs)
         data["exact_lambda1"] = {str(k): v for k, v in
@@ -399,33 +410,31 @@ def simulate(ch, inline, distortion, budget, mode, n, identities, colors, eps,
           click.option("--eps", type=float, default=0.1),
           click.option("--mu", type=float, default=0.5, help="converse slack in (0,1)"),
           required=("n",))
-def bounds(ch, inline, distortion, budget, n, eps, mu, **_):
+def bounds(ch, distortion, budget, n, eps, mu, **_):
     """Typical-set size exponents and image-size caps at a given blocklength.
 
     typical_log2_size_lower/upper are the size lemma's exponents
     n(H -+ c(eps)).  The lower one bounds log2 |T| only together with the
-    typical set's mass factor, and only for large n.  JSON only.
+    typical set's mass factor, and only for large n.  The caps K1-K4 are
+    `image_size_bound` over det_f, rand_f and, with -D, their
+    distortion-constrained values.  JSON only.
     """
-    try:
-        det = det_feedback_capacity(ch)
-        params = BoundParams.for_channel(ch, n=n, mu=mu)
-        lo, hi = typical_size_bounds(ch, int(det.maximizer), n, eps)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, str(exc))
+    def cap(result: CapacityResult) -> float:
+        return image_size_bound(n, mu, ch.output_size, result.value)
+
+    det = det_feedback_capacity(ch)
+    lo, hi = typical_size_bounds(ch, int(det.maximizer), n, eps)
     report = {
         "n": n, "eps": eps, "mu": mu,
         "pilot": int(det.maximizer),
         "typical_log2_size_lower": lo,
         "typical_log2_size_upper": hi,
-        "image_size_log2_K1": image_size_bound(params, ch),
-        "image_size_log2_K2": image_size_bound(params, ch, variant="K2"),
+        "image_size_log2_K1": cap(det),
+        "image_size_log2_K2": cap(rand_feedback_capacity(ch)),
     }
     if budget is not None:
-        dist = _resolve_distortion(distortion, ch, inline)
-        report["image_size_log2_K3"] = image_size_bound(params, ch, dist, budget,
-                                                        variant="K3")
-        report["image_size_log2_K4"] = image_size_bound(params, ch, dist, budget,
-                                                        variant="K4")
+        report["image_size_log2_K3"] = cap(det_capacity_distortion(ch, distortion, budget))
+        report["image_size_log2_K4"] = cap(rand_capacity_distortion(ch, distortion, budget))
     return report, None
 
 

@@ -39,6 +39,7 @@ EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
 SUPPORT_TOL = 1e-9
 COLORING_BATCH_ROWS = 1024    # rows hashed together; bounds the transient digests
+RESTARTS = 32                 # random codebooks drawn per inner code
 
 
 # --- keyed pseudorandom coloring --------------------------------------------
@@ -236,15 +237,14 @@ def _improve_codebook(rows: np.ndarray, codewords: list, candidates: list):
 
 
 def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
-                            rng: np.random.Generator,
-                            restarts: int = 32) -> TransmissionCode:
+                            rng: np.random.Generator) -> TransmissionCode:
     """Random codebook over the feasible inputs with ML decoding.
 
     The restricted averaged channel (the rows of the feasible inputs) must
     have positive Shannon capacity, decided by the guard of every capacity.
     Codewords are drawn i.i.d. from its capacity-achieving distribution, the
     Frank-Wolfe Shannon solve of `capacity`; duplicate codewords are
-    resampled while distinct ones remain available, and the best of several
+    resampled while distinct ones remain available, and the best of RESTARTS
     codebooks (smallest measured maximal error) is kept.
     """
     if M < 2:
@@ -265,7 +265,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     exact = ch.output_size ** k <= EXACT_ERROR_GUARD
 
     best = None
-    for _ in range(restarts):
+    for _ in range(RESTARTS):
         codewords: list[tuple[int, ...]] = []
         seen = set()
         for _j in range(M):

@@ -5,6 +5,10 @@ class IdsenseError(Exception):
     """Base class for all package errors."""
 
 
+class InvalidParameter(IdsenseError, ValueError):
+    """A numeric parameter outside its domain, such as mu outside (0, 1)."""
+
+
 class DimensionMismatch(IdsenseError):
     pass
 

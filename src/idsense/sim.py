@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
 from .coding import ABORT_COLOR, IDFeedbackCode, _loglik, confusion_matrix, encode_step, \
     feedback_update, initial_state, verify
-from .errors import AlphabetTooLarge, InfeasibleDistortion, TooLargeToEnumerate
+from .errors import AlphabetTooLarge, InfeasibleDistortion
 from .estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
@@ -28,6 +29,9 @@ from .estimation import (
 )
 from .typicality import chunks, counts_typical, enumerate_blocks, require_enumerable, \
     symbol_counts
+
+MAX_IDENTITIES = 8     # identities tested by `monte_carlo`: all up to this many
+MAX_PAIRS = 16         # ordered pairs tested by `monte_carlo`, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +64,11 @@ class SimReport:
     lambda2_stderr: float
     d_t_hat: np.ndarray
     d_t_stderr: np.ndarray
-    d_bar_hat: float = field(default=0.0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "d_bar_hat", float(np.mean(self.d_t_hat)))
+    @property
+    def d_bar_hat(self) -> float:
+        """Time-average distortion, the mean of d_t_hat."""
+        return float(np.mean(self.d_t_hat))
 
     def to_dict(self) -> dict:
         return {
@@ -226,32 +231,28 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
     return accept, dvals
 
 
-def _choose_identities(code: IDFeedbackCode, identity_sample: str, seed: int,
-                       max_identities: int = 8, max_pairs: int = 16):
+def _choose_identities(code: IDFeedbackCode, seed: int):
+    """Every identity up to MAX_IDENTITIES, else that many at random; then
+    at most MAX_PAIRS of their ordered pairs, at random."""
     n_ids = code.identity_count
-    if identity_sample == "all" or (identity_sample == "auto" and n_ids <= max_identities):
-        if n_ids > 512:
-            raise TooLargeToEnumerate(f"cannot test all {n_ids} identities")
+    if n_ids <= MAX_IDENTITIES:
         identities = list(range(1, n_ids + 1))
-    elif identity_sample in ("auto", "random"):
+    else:
         picker = random.Random(seed)
         chosen = set()
-        while len(chosen) < min(max_identities, n_ids):
+        while len(chosen) < MAX_IDENTITIES:
             chosen.add(picker.randrange(1, n_ids + 1))
         identities = sorted(chosen)
-    else:
-        raise ValueError(f"unknown identity_sample {identity_sample!r}")
     ordered = [(a, b) for a in identities for b in identities if a != b]
-    if len(ordered) > max_pairs:
+    if len(ordered) > MAX_PAIRS:
         picker = random.Random(seed + 1)
-        ordered = picker.sample(ordered, max_pairs)
+        ordered = picker.sample(ordered, MAX_PAIRS)
         ordered.sort()
     return identities, ordered
 
 
 def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
-                trials_per_pair: int, identity_sample: str = "auto",
-                seed: int = 0) -> SimReport:
+                trials_per_pair: int, seed: int = 0) -> SimReport:
     """Estimate lambda1, lambda2 and per-symbol distortion by simulation.
 
     lambda1 is reported as the max over tested identities of the rejection
@@ -261,7 +262,7 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     if trials_per_pair < 1:
         raise ValueError("trials_per_pair must be >= 1")
     tables = _pair_tables(code, ch, dist)
-    identities, pairs = _choose_identities(code, identity_sample, seed)
+    identities, pairs = _choose_identities(code, seed)
 
     dist_sum = np.zeros(code.m)
     dist_sqsum = np.zeros(code.m)
@@ -392,8 +393,4 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
         if grid.size == 0:
             raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
-    mix = grid @ ch.rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logmix = np.where(mix > 0, np.log2(np.maximum(mix, 1e-300)), 0.0)
-    values = -(mix * logmix).sum(axis=1)
-    return float(values.max())
+    return float(_row_entropies(grid @ ch.rows).max())

@@ -13,7 +13,7 @@ import numpy as np
 
 from .capacity import entropy
 from .channel import StateDMC
-from .errors import LengthMismatch, MissingRow, TooLargeToEnumerate
+from .errors import InvalidParameter, LengthMismatch, MissingRow, TooLargeToEnumerate
 from .estimation import _check_distribution
 
 ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
@@ -138,9 +138,9 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
     since no member is more likely than 2^(-n*(H - eps * sum_y |log2 w(y)|)).
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidParameter("n must be >= 1")
     if not eps > 0:
-        raise ValueError("eps must be > 0")
+        raise InvalidParameter("eps must be > 0")
     rows = ch.rows
     if np.isscalar(pilot) or isinstance(pilot, (int, np.integer)):
         h = entropy(rows[int(pilot)])

@@ -18,7 +18,6 @@ import numpy as np
 from click.testing import CliRunner
 
 from idsense.capacity import (
-    BoundParams,
     det_capacity_distortion,
     det_feedback_capacity,
     image_size_bound,
@@ -262,8 +261,7 @@ def test_criterion_7_typicality_lemmas():
     # Lemma-1 image check at m <= 3 (this part holds and is asserted)
     flip = flip_bsc()
     for m in (1, 2, 3):
-        params = BoundParams.for_channel(flip, n=m, mu=0.2)
-        bound = image_size_bound(params, flip, variant="K1")
+        bound = image_size_bound(m, 0.2, flip.output_size, det_feedback_capacity(flip).value)
         probs = sorted((sequence_likelihood(flip, [0] * m, list(y))
                         for y in product(range(2), repeat=m)), reverse=True)
         mass, count = 0.0, 0

@@ -13,7 +13,6 @@ import idsense
 from idsense import fixtures
 from idsense.capacity import (
     ZERO_CAPACITY_TOL,
-    BoundParams,
     _line_search,
     _require_positive_capacity,
     binary_entropy,
@@ -31,6 +30,7 @@ from idsense.channel import StateDMC, sequence_likelihood
 from idsense.errors import (
     DegenerateCode,
     InfeasibleDistortion,
+    InvalidParameter,
     NotADistribution,
     ZeroCapacityChannel,
 )
@@ -311,38 +311,34 @@ class TestGridAgreement:
 
 class TestImageSizeBounds:
     def test_flip_k1_formula(self, flip):
-        params = BoundParams.for_channel(flip, n=100, mu=0.1)
-        value = image_size_bound(params, flip, variant="K1")
+        value = image_size_bound(100, 0.1, flip.output_size, det_feedback_capacity(flip).value)
         expected = 100 * entropy([0.9, 0.1]) + math.sqrt(math.log2(3) ** 2 / 0.1) * 10
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(97.02, abs=0.01)
 
     def test_degenerate_blocklength(self, flip):
-        params = BoundParams.for_channel(flip, n=0, mu=0.9)
-        assert image_size_bound(params, flip, variant="K1") == pytest.approx(0.0, abs=1e-12)
+        bound = image_size_bound(0, 0.9, flip.output_size, det_feedback_capacity(flip).value)
+        assert bound == pytest.approx(0.0, abs=1e-12)
 
     def test_k3_inactive_budget_equals_k1(self, flip, ham2):
-        params = BoundParams.for_channel(flip, n=20, mu=0.2)
-        k1 = image_size_bound(params, flip, variant="K1")
-        k3 = image_size_bound(params, flip, ham2, 0.9, variant="K3")
+        k1 = image_size_bound(20, 0.2, flip.output_size, det_feedback_capacity(flip).value)
+        k3 = image_size_bound(20, 0.2, flip.output_size,
+                              det_capacity_distortion(flip, ham2, 0.9).value)
         assert k3 == pytest.approx(k1, abs=1e-12)
-
-    def test_k3_requires_budget(self, flip):
-        params = BoundParams.for_channel(flip, n=10, mu=0.5)
-        with pytest.raises(ValueError):
-            image_size_bound(params, flip, variant="K3")
 
     def test_bad_mu_rejected(self, flip):
         with pytest.raises(ValueError):
-            BoundParams.for_channel(flip, n=10, mu=1.5)
+            image_size_bound(10, 1.5, flip.output_size, 1.0)
+        with pytest.raises(InvalidParameter):
+            image_size_bound(10, 0.0, flip.output_size, 1.0)
 
     def test_lemma1_tiny_scale(self, flip):
         # the greedy smallest output set with mass >= 1 - mu never exceeds
         # the K1 cap at blocklengths m <= 3 under the constant pilot strategy
         mu = 0.2
+        rate = det_feedback_capacity(flip).value
         for m in (1, 2, 3):
-            params = BoundParams.for_channel(flip, n=m, mu=mu)
-            bound = image_size_bound(params, flip, variant="K1")
+            bound = image_size_bound(m, mu, flip.output_size, rate)
             probs = sorted(
                 (sequence_likelihood(flip, [0] * m, list(y))
                  for y in product(range(2), repeat=m)),

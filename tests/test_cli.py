@@ -126,6 +126,8 @@ def test_non_finite_budget_exit_2(runner, command):
     pytest.param("simulate", "seed", [1], id="simulate-seed-list"),
     ("bounds", "n", "four"),
     ("bounds", "mu", "half"),
+    ("bounds", "n", True),      # a JSON boolean is not a number: int(True) is 1
+    ("bounds", "eps", True),
 ])
 def test_non_numeric_setting_exit_2(runner, tmp_path, command, key, value):
     config = {"channel": "flip_bsc", "n": 4, "identities": 4, "colors": 2,
@@ -155,6 +157,14 @@ def test_bad_config_value_exit_2(runner, tmp_path, monkeypatch, command, key, va
     result = runner.invoke(main, [command, "--config", "cfg.json"])
     assert_config_error(result)
     assert f"error: {key}" in result.output
+
+
+def test_unwritable_out_exit_2(runner, tmp_path):
+    out = tmp_path / "nodir" / "x.json"
+    result = runner.invoke(main, ["capacity", "--channel", "flip_bsc", "--out", str(out)])
+    assert_config_error(result)
+    assert f"error: cannot write {str(out)!r}" in result.output
+    assert not out.exists()
 
 
 # "no" is a boolean to click, as it is to `--exact`'s own type.
@@ -196,7 +206,7 @@ each_command_solve = pytest.mark.parametrize("target,command", [
     ("idsense.cli.build_id_code", ["simulate", "--n", "4", "--identities", "4",
                                    "--colors", "2", "--trials", "10"]),
     ("idsense.cli.det_feedback_capacity", ["bounds", "--n", "8"]),
-    ("idsense.capacity.rand_feedback_capacity", ["bounds", "--n", "8"]),
+    ("idsense.cli.rand_feedback_capacity", ["bounds", "--n", "8"]),
 ], ids=["capacity", "tradeoff", "simulate", "bounds", "bounds-K2"])
 
 
@@ -453,6 +463,14 @@ class TestBoundsCommand:
             "bounds", "--channel", "flip_bsc", "--n", "8", "--eps", "nan"])
         assert_config_error(result)
         assert "eps" in result.output
+
+    def test_missing_distortion_without_budget_exit_2(self, runner, tmp_path):
+        # --distortion is resolved for every command that declares it
+        result = runner.invoke(main, [
+            "bounds", "--channel", "flip_bsc", "--n", "8",
+            "--distortion", str(tmp_path / "missing.json")])
+        assert_config_error(result)
+        assert "distortion file" in result.output
 
     def test_bad_mu_exit_2(self, runner):
         result = runner.invoke(main, [

@@ -106,7 +106,7 @@ class TestMonteCarlo:
         # fewer identities than the sample size: all of them, all 12 pairs
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                              eps=0.3, mode="det", master_seed=1)
-        report = monte_carlo(code, flip, ham2, 50, identity_sample="random", seed=3)
+        report = monte_carlo(code, flip, ham2, 50, seed=3)
         assert report.identities == (1, 2, 3, 4)
         assert len(report.pairs) == 12
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from idsense.channel import cumulative, sample_rows, \
     sample_state_sequence, sequence_likelihood
 from idsense.coding import build_id_code
-from idsense.errors import LengthMismatch, MissingRow, TooLargeToEnumerate
+from idsense.errors import InvalidParameter, LengthMismatch, MissingRow, TooLargeToEnumerate
 from idsense.sim import exact_error_probabilities
 from idsense.typicality import (
     counts_typical,
@@ -164,6 +164,14 @@ class TestSizeBounds:
         c = type_radius(8, 0.1, 2, 2)
         assert lo == pytest.approx(8 * (1.0 - c), abs=1e-12)
         assert hi == pytest.approx(8 * (1.0 + c), abs=1e-12)
+
+    @pytest.mark.parametrize("n,eps", [(0, 0.1), (8, 0.0)])
+    def test_bad_parameters_are_library_errors(self, flip, n, eps):
+        # InvalidParameter is both an IdsenseError and a ValueError
+        with pytest.raises(InvalidParameter):
+            typical_size_bounds(flip, 0, n, eps)
+        with pytest.raises(ValueError):
+            typical_size_bounds(flip, 0, n, eps)
 
 
 class TestEnumeration:
