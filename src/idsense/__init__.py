@@ -11,8 +11,6 @@ from .channel import (
     channel_to_dict,
     load_channel,
     sample_state_sequence,
-    sequence_likelihood,
-    sequence_log2_likelihood,
     transmit,
     validate_channel,
 )
@@ -22,13 +20,9 @@ from .estimation import (
     EstimatorTable,
     distortion_profile,
     estimate_sequence,
-    feasible_distribution,
     feasible_inputs,
     hamming_distortion,
-    min_distortion_dist,
-    min_distortion_input,
     optimal_estimator,
-    posterior_state,
 )
 from .capacity import (
     CapacityResult,
@@ -44,16 +38,7 @@ from .capacity import (
     shannon_capacity_avg,
     tradeoff_curve,
 )
-from .typicality import (
-    ConditionalType,
-    enumerate_typical_set,
-    joint_type,
-    marginal_typical_membership,
-    max_norm_distance,
-    type_radius,
-    typical_membership,
-    typical_size_bounds,
-)
+from .typicality import enumerate_typical_set, typical_size_bounds
 from .coding import (
     IDFeedbackCode,
     TransmissionCode,

@@ -347,7 +347,7 @@ def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
                    tol: float = DEFAULT_TOL) -> list[dict]:
     """Pointwise capacity-distortion curve; infeasible points flagged, never interpolated."""
     if mode not in ("det", "rand"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParameter(f"unknown mode {mode!r}")
     points = []
     for budget in budgets:
         try:
@@ -370,6 +370,8 @@ def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
     and their distortion-constrained values alike (K1-K4); the caller passes
     whichever of those rates it has computed.
     """
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
     if not 0.0 < mu < 1.0:
         raise InvalidParameter("mu must lie in (0, 1)")
     beta = max(math.log2(3.0) ** 2, math.log2(output_size) ** 2)

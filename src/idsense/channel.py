@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    LengthMismatch,
     NegativeProbability,
     NotADistribution,
     RowNotNormalized,
@@ -133,27 +132,6 @@ def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
     if not 0 <= s < ch.state_size:
         raise IndexOutOfRange(f"state symbol {s} out of range")
     return int(sample_rows(cumulative(ch.kernel[x, s]), rng.random(1))[0])
-
-
-def sequence_log2_likelihood(ch: StateDMC, x_seq, y_seq) -> float:
-    """log2 of E_{S^n}[W^n(y^n|x^n,S^n)].
-
-    Equals the sum of per-letter averaged log-probabilities because states
-    are i.i.d. and the channel is memoryless.  -inf for impossible sequences.
-    """
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    y_seq = np.asarray(y_seq, dtype=np.int64)
-    if x_seq.shape != y_seq.shape:
-        raise LengthMismatch("input and output sequences differ in length")
-    probs = ch.rows[x_seq, y_seq]
-    if (probs == 0).any():
-        return float("-inf")
-    return float(np.sum(np.log2(probs)))
-
-
-def sequence_likelihood(ch: StateDMC, x_seq, y_seq) -> float:
-    """Linear-scale accessor for short sequences; underflows to 0 for long ones."""
-    return float(2.0 ** sequence_log2_likelihood(ch, x_seq, y_seq))
 
 
 # --- serialization -----------------------------------------------------------

@@ -97,14 +97,11 @@ def _resolve_distortion(spec: str | None, ch: StateDMC,
         matrix = inline
     elif spec is None or spec == "hamming":
         return hamming_distortion(ch.state_size)
-    elif not Path(spec).exists():
-        _fail(EXIT_CONFIG, f"distortion file {spec!r} not found")
     else:
-        try:
-            raw = json.loads(Path(spec).read_text())
-            matrix = raw["distortion"] if isinstance(raw, dict) else raw
-        except (ValueError, KeyError) as exc:
-            _fail(EXIT_CONFIG, f"invalid distortion file {spec!r}: {exc}")
+        raw = _read_json(spec, "distortion")
+        if isinstance(raw, dict) and "distortion" not in raw:
+            _fail(EXIT_CONFIG, f"distortion file {spec!r} has no 'distortion' key")
+        matrix = raw["distortion"] if isinstance(raw, dict) else raw
     try:
         dist = DistortionMatrix(d=np.asarray(matrix, dtype=float))
     except (IdsenseError, ValueError, TypeError) as exc:
@@ -167,16 +164,23 @@ def _emit_csv(rows: list[list], out: str | None):
     _emit(text, out)
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the `what` file at `path`; a file that is missing,
+    unreadable (a directory, say) or not JSON exits 2."""
+    if not Path(path).exists():
+        _fail(EXIT_CONFIG, f"{what} file {path!r} not found")
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        _fail(EXIT_CONFIG, f"cannot read {what} file {path!r}: {exc}")
+    except ValueError as exc:
+        _fail(EXIT_CONFIG, f"{what} file {path!r} is not valid JSON: {exc}")
+
+
 def _load_config(config: str | None) -> dict:
     if config is None:
         return {}
-    path = Path(config)
-    if not path.exists():
-        _fail(EXIT_CONFIG, f"config file {config!r} not found")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        _fail(EXIT_CONFIG, f"config file {config!r} is not valid JSON: {exc}")
+    data = _read_json(config, "config")
     if not isinstance(data, dict):
         _fail(EXIT_CONFIG, "config file must hold a JSON object")
     return data

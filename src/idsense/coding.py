@@ -27,13 +27,14 @@ from .errors import (
     DegenerateCode,
     IndexOutOfRange,
     InfeasibleDistortion,
+    InvalidParameter,
     LengthMismatch,
     OutOfTime,
     TooManyMessages,
     ZeroCapacityChannel,
 )
 from .estimation import DistortionMatrix, _feasible_inputs
-from .typicality import enumerate_blocks, marginal_typical_membership
+from .typicality import counts_typical, enumerate_blocks
 
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
@@ -341,14 +342,20 @@ class IDFeedbackCode:
         return coloring_values(self.master_seed, self.color_count, identity, blocks)
 
     def pilot_typical(self, y_pilot) -> bool:
-        """Max-norm test of the empirical pilot output type against its law.
+        """Max-norm test of the empirical pilot output type against its law;
+        the block's symbols must be in 0..|Y|-1.
 
         Depends on the output block only, so encoder and decoder always
         agree; for a constant deterministic pilot this coincides with
-        conditional-type typicality.  Decided on integer counts, like every
-        typicality test (see `typicality.counts_typical`).
+        conditional-type typicality.  Decided on integer counts by
+        `typicality.counts_typical`, the library's one typicality test.
         """
-        return marginal_typical_membership(self.pilot_row, y_pilot, self.eps)
+        y_pilot = np.asarray(y_pilot, dtype=np.int64)
+        if y_pilot.size == 0:
+            raise LengthMismatch("pilot block must have length >= 1")
+        _require_symbols(y_pilot.tolist(), self.pilot_row.size)
+        counts = np.bincount(y_pilot, minlength=self.pilot_row.size)
+        return bool(counts_typical(counts, self.pilot_row, self.eps))
 
     def to_dict(self) -> dict:
         pilot = (int(self.pilot) if self.mode == "det"
@@ -436,7 +443,7 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
                   master_seed: int) -> IDFeedbackCode:
     """Assemble the concatenated feedback ID code for one budget."""
     if mode not in ("det", "rand"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParameter(f"unknown mode {mode!r}")
     if identities < 2:
         raise DegenerateCode("need at least 2 identities")
     if n < 1:

@@ -6,7 +6,7 @@ class IdsenseError(Exception):
 
 
 class InvalidParameter(IdsenseError, ValueError):
-    """A numeric parameter outside its domain, such as mu outside (0, 1)."""
+    """A parameter outside its domain, such as mu outside (0, 1) or an unknown mode."""
 
 
 class DimensionMismatch(IdsenseError):
@@ -29,12 +29,6 @@ class IndexOutOfRange(IdsenseError):
 
 class LengthMismatch(IdsenseError):
     pass
-
-
-class ZeroProbabilityObservation(IdsenseError):
-    def __init__(self, x: int, y: int):
-        self.x, self.y = x, y
-        super().__init__(f"observation (x={x}, y={y}) has probability 0")
 
 
 class NotADistribution(IdsenseError):
@@ -61,10 +55,6 @@ class InfeasibleDistortion(IdsenseError):
         if min_feasible is not None:
             msg += f"; smallest feasible budget is {min_feasible!r}"
         super().__init__(msg)
-
-
-class MissingRow(IdsenseError):
-    pass
 
 
 class TooLargeToEnumerate(IdsenseError):

@@ -15,11 +15,9 @@ import numpy as np
 from .channel import StateDMC
 from .errors import (
     IdsenseError,
-    IndexOutOfRange,
     InfeasibleDistortion,
     LengthMismatch,
     NotADistribution,
-    ZeroProbabilityObservation,
 )
 
 # Absolute slack for budget comparisons: analytically tight budgets
@@ -85,17 +83,6 @@ def _check_distribution(p, size: int) -> np.ndarray:
     return p
 
 
-def posterior_state(ch: StateDMC, x: int, y: int) -> np.ndarray:
-    """P(s | x, y) by Bayes over the state prior."""
-    if not 0 <= x < ch.input_size or not 0 <= y < ch.output_size:
-        raise IndexOutOfRange(f"symbol pair ({x}, {y}) out of range")
-    joint = ch.state_prior * ch.kernel[x, :, y]
-    total = joint.sum()
-    if total <= 0.0:
-        raise ZeroProbabilityObservation(x, y)
-    return joint / total
-
-
 def posterior_cost(ch: StateDMC, dist: DistortionMatrix) -> np.ndarray:
     """cost[x, y, s_hat] = sum_s P_S(s) W(y|x,s) d(s, s_hat) (unnormalized posterior cost)."""
     return np.einsum("s,xsy,st->xyt", ch.state_prior, ch.kernel, dist.d)
@@ -115,24 +102,11 @@ def optimal_estimator(ch: StateDMC, dist: DistortionMatrix) -> EstimatorTable:
     return EstimatorTable(h=_min_cost_rule(ch, posterior_cost(ch, dist)))
 
 
-def min_distortion_input(ch: StateDMC, dist: DistortionMatrix, x: int) -> float:
-    """d*(x): expected distortion of the optimal rule given input x."""
-    if not 0 <= x < ch.input_size:
-        raise IndexOutOfRange(f"input symbol {x} out of range")
-    return float(distortion_profile(ch, dist).per_input[x])
-
-
 def distortion_profile(ch: StateDMC, dist: DistortionMatrix) -> DistortionProfile:
     cost = posterior_cost(ch, dist)
     h = _min_cost_rule(ch, cost)
     per_input = np.take_along_axis(cost, h[:, :, None], axis=2)[:, :, 0].sum(axis=1)
     return DistortionProfile(per_input=per_input)
-
-
-def min_distortion_dist(ch: StateDMC, dist: DistortionMatrix, p) -> float:
-    """d*(P) = sum_x P(x) d*(x)."""
-    p = _check_distribution(p, ch.input_size)
-    return float(p @ distortion_profile(ch, dist).per_input)
 
 
 def _feasible_inputs(ch: StateDMC, dist: DistortionMatrix,
@@ -151,11 +125,6 @@ def feasible_inputs(ch: StateDMC, dist: DistortionMatrix, budget: float) -> set[
         return {int(x) for x in _feasible_inputs(ch, dist, budget)[1]}
     except InfeasibleDistortion:
         return set()
-
-
-def feasible_distribution(ch: StateDMC, dist: DistortionMatrix, budget: float, p) -> bool:
-    """Whether P belongs to the budgeted distribution set."""
-    return min_distortion_dist(ch, dist, p) <= budget + FEASIBILITY_TOL
 
 
 def estimate_sequence(table: EstimatorTable, x_seq, y_seq) -> np.ndarray:

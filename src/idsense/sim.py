@@ -17,7 +17,7 @@ from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
 from .coding import ABORT_COLOR, IDFeedbackCode, _loglik, confusion_matrix, encode_step, \
     feedback_update, initial_state, verify
-from .errors import AlphabetTooLarge, InfeasibleDistortion
+from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter
 from .estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
@@ -260,7 +260,7 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     pairs of the false-accept rate.  Deterministic given the seed.
     """
     if trials_per_pair < 1:
-        raise ValueError("trials_per_pair must be >= 1")
+        raise InvalidParameter("trials_per_pair must be >= 1")
     tables = _pair_tables(code, ch, dist)
     identities, pairs = _choose_identities(code, seed)
 
@@ -388,7 +388,7 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
     grid = _simplex_grid(ch.input_size, resolution)
     if budget is not None:
         if dist is None:
-            raise ValueError("budget given without a distortion matrix")
+            raise InvalidParameter("budget given without a distortion matrix")
         profile = distortion_profile(ch, dist).per_input
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
         if grid.size == 0:

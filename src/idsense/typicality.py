@@ -1,74 +1,25 @@
-"""Conditional types and the typical output set used for common randomness.
+"""The typical output set used for common randomness.
 
-A pilot output block is typical when its conditional type sits within a
-max-norm ball around the averaged channel rows; the exact enumeration here
-is the desk-scale oracle for the size and mass bounds used as diagnostics.
+A pilot output block is typical when, for each pilot symbol x, the output
+counts N(y) at the positions of x lie in the closed max-norm ball
+|N(y) - n*w(y)| <= n*eps around the averaged row w.  `counts_typical` is the
+one test: the code's pilot test, the simulator, the exact oracle and the
+enumeration here all decide with it.  The enumeration is the desk-scale
+oracle for the size and mass bounds used as diagnostics.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .capacity import entropy
 from .channel import StateDMC
-from .errors import InvalidParameter, LengthMismatch, MissingRow, TooLargeToEnumerate
+from .errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
 from .estimation import _check_distribution
 
 ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
 CHUNK_ROWS = 2 ** 16          # enumerated rows processed at once
 TYPICALITY_TOL = 1e-9    # per-symbol slack on the closed typicality ball
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalType:
-    """Joint occurrence counts of (x, y) and the normalized rows V(y|x).
-
-    Rows for inputs that never occur are flagged absent rather than zeroed.
-    """
-
-    counts: np.ndarray   # shape (X, Y), integer
-    V: np.ndarray        # shape (X, Y); rows of absent inputs are zero
-    present: np.ndarray  # shape (X,), bool
-
-    def __post_init__(self):
-        for name in ("counts", "V", "present"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def joint_type(x_seq, y_seq, input_size: int | None = None,
-               output_size: int | None = None) -> ConditionalType:
-    """Exact conditional type of (x^n, y^n)."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    y_seq = np.asarray(y_seq, dtype=np.int64)
-    if x_seq.shape != y_seq.shape:
-        raise LengthMismatch("input and output sequences differ in length")
-    if x_seq.size == 0:
-        raise LengthMismatch("sequences must have length >= 1")
-    nx = input_size if input_size is not None else int(x_seq.max()) + 1
-    ny = output_size if output_size is not None else int(y_seq.max()) + 1
-    counts = np.zeros((nx, ny), dtype=np.int64)
-    np.add.at(counts, (x_seq, y_seq), 1)
-    row_tot = counts.sum(axis=1)
-    present = row_tot > 0
-    V = np.zeros((nx, ny), dtype=float)
-    V[present] = counts[present] / row_tot[present, None]
-    return ConditionalType(counts=counts, V=V, present=present)
-
-
-def max_norm_distance(ctype: ConditionalType, ch: StateDMC, support) -> float:
-    """max over support inputs and outputs of |V(y|x) - W(y|x)|."""
-    support = sorted(set(int(x) for x in support))
-    if not support:
-        raise MissingRow("support must be nonempty")
-    for x in support:
-        if x >= ctype.present.size or not ctype.present[x]:
-            raise MissingRow(f"conditional type has no row for input {x}")
-    idx = np.array(support)
-    return float(np.abs(ctype.V[idx] - ch.rows[idx]).max())
 
 
 def counts_typical(counts, rows, eps: float):
@@ -89,46 +40,12 @@ def counts_typical(counts, rows, eps: float):
     return (np.abs(counts - n * np.asarray(rows)) <= slack).all(axis=-1)
 
 
-def typical_membership(ch: StateDMC, x_seq, y_seq, eps: float) -> bool:
-    """Whether y^n has a conditional type within eps of the averaged rows.
-
-    The distance is measured only on inputs actually occurring in x^n, and
-    the closed ball is decided on integer counts (see `counts_typical`).
-    """
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    ctype = joint_type(x_seq, y_seq, input_size=ch.input_size,
-                       output_size=ch.output_size)
-    return bool(counts_typical(ctype.counts, ch.rows, eps).all())
-
-
-def marginal_typical_membership(row: np.ndarray, y_seq, eps: float) -> bool:
-    """Whether the empirical output frequency is within eps (max-norm) of `row`.
-
-    Used for the randomized pilot, where only the output block is common to
-    encoder and decoder; `row` is then the P*-mixture output distribution.
-    The closed ball is decided on integer counts (see `counts_typical`).
-    """
-    y_seq = np.asarray(y_seq, dtype=np.int64)
-    if y_seq.size == 0:
-        raise LengthMismatch("sequence must have length >= 1")
-    return bool(counts_typical(np.bincount(y_seq, minlength=row.size), row, eps))
-
-
-def type_radius(n: int, eps: float, input_size: int, output_size: int) -> float:
-    """The explicit c(eps) in the size exponents n*(H -+ c(eps)).
-
-    It shrinks to 0 as eps -> 0, so both exponents tend to n*H.  It is not a
-    finite-n guarantee on its own: see `typical_size_bounds`.
-    """
-    return eps * input_size * output_size * np.log2(n + 1) / n + eps * np.log2(output_size)
-
-
 def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float, float]:
     """The size-lemma exponents n*(H - c(eps)) and n*(H + c(eps)) in log2.
 
     H is the averaged-row entropy for a symbol pilot, or the mixture output
-    entropy for a distribution pilot; c(eps) is `type_radius`.  These are the
+    entropy for a distribution pilot, and c(eps) = eps*|X|*|Y|*log2(n+1)/n +
+    eps*log2|Y|, which shrinks to 0 as eps -> 0.  These are the
     exponents of the typical-set size lemma (Csiszar-Korner, Lemma 2.13),
     not finite-n guarantees.  The lower one bounds log2 |T| only together
     with the set's mass factor log2 W^n(T|x^n), and only for large n: at
@@ -148,7 +65,8 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
         p = getattr(pilot, "p", pilot)
         p = _check_distribution(p, ch.input_size)
         h = entropy(p @ rows)
-    c = type_radius(n, eps, ch.input_size, ch.output_size)
+    c = (eps * ch.input_size * ch.output_size * np.log2(n + 1) / n
+         + eps * np.log2(ch.output_size))
     return n * (h - c), n * (h + c)
 
 
@@ -182,7 +100,7 @@ def symbol_counts(blocks: np.ndarray, size: int) -> np.ndarray:
 def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ...]]:
     """Exhaustive, lexicographically sorted typical set for a fixed pilot x^n."""
     if eps < 0:
-        raise ValueError("eps must be >= 0")
+        raise InvalidParameter("eps must be >= 0")
     x_seq = np.array([int(x) for x in x_seq], dtype=np.int64)
     if x_seq.size == 0:
         raise LengthMismatch("sequences must have length >= 1")

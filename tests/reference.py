@@ -1,14 +1,18 @@
-"""Blahut-Arimoto, kept as an independent reference for the Shannon solves.
+"""Independent references the tests hold the library to.
 
-The library computes every Shannon capacity with its Frank-Wolfe solver
-(`idsense.capacity._shannon`); the tests check it, and the zero-capacity
-decision, against this classic iteration.
+Blahut-Arimoto checks the library's Frank-Wolfe Shannon solver
+(`idsense.capacity._shannon`) and the zero-capacity decision.  The sequence
+likelihood, the conditional-type typicality test and the state posterior
+are the textbook definitions, one block or one symbol pair at a time; the
+exact oracles, the typical-set enumeration and the distortion profile are
+checked against them.
 """
 
 import numpy as np
 
 from idsense.capacity import MAX_ITERS, TINY, _row_entropies
 from idsense.errors import NoConvergence
+from idsense.typicality import counts_typical
 
 
 def blahut_arimoto(rows: np.ndarray, tol: float = 1e-9,
@@ -36,3 +40,25 @@ def blahut_arimoto(rows: np.ndarray, tol: float = 1e-9,
         r = r * np.exp2(div - div.max())
         r /= r.sum()
     raise NoConvergence(max_iters, gap=upper - lower)
+
+
+def sequence_likelihood(ch, x_seq, y_seq) -> float:
+    """W^n(y^n|x^n) on the averaged rows, summed in log2; 0 for an impossible block."""
+    probs = ch.rows[np.asarray(x_seq, dtype=np.int64), np.asarray(y_seq, dtype=np.int64)]
+    if (probs == 0).any():
+        return 0.0
+    return 2.0 ** float(np.sum(np.log2(probs)))
+
+
+def typical_membership(ch, x_seq, y_seq, eps: float) -> bool:
+    """Whether the conditional type of y^n given x^n lies in the closed ball:
+    the joint counts N(x, y) of every input row pass `counts_typical`."""
+    counts = np.zeros((ch.input_size, ch.output_size), dtype=np.int64)
+    np.add.at(counts, (np.asarray(x_seq, dtype=np.int64), np.asarray(y_seq, dtype=np.int64)), 1)
+    return bool(counts_typical(counts, ch.rows, eps).all())
+
+
+def posterior_state(ch, x: int, y: int) -> np.ndarray:
+    """P(s | x, y) by Bayes over the state prior, for a pair of positive probability."""
+    joint = ch.state_prior * ch.kernel[x, :, y]
+    return joint / joint.sum()

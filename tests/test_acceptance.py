@@ -27,7 +27,7 @@ from idsense.capacity import (
     shannon_capacity_avg,
     tradeoff_curve,
 )
-from idsense.channel import StateDMC, sequence_likelihood
+from idsense.channel import StateDMC
 from idsense.cli import main as cli_main
 from idsense.coding import build_id_code
 from idsense.errors import InfeasibleDistortion
@@ -41,6 +41,7 @@ from idsense.sim import (
 )
 from idsense.typicality import enumerate_typical_set, typical_size_bounds
 from tests.conftest import random_channel
+from tests.reference import sequence_likelihood
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = ""):

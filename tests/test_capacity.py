@@ -26,7 +26,7 @@ from idsense.capacity import (
     shannon_capacity_avg,
     tradeoff_curve,
 )
-from idsense.channel import StateDMC, sequence_likelihood
+from idsense.channel import StateDMC
 from idsense.errors import (
     DegenerateCode,
     InfeasibleDistortion,
@@ -37,7 +37,7 @@ from idsense.errors import (
 from idsense.estimation import hamming_distortion
 from idsense.sim import grid_capacity_oracle
 from tests.conftest import random_channel
-from tests.reference import blahut_arimoto
+from tests.reference import blahut_arimoto, sequence_likelihood
 
 
 def uniform_rows_channel():

@@ -15,17 +15,11 @@ from idsense.channel import (
     load_channel,
     sample_rows,
     sample_state_sequence,
-    sequence_likelihood,
-    sequence_log2_likelihood,
     transmit,
     validate_channel,
 )
-from idsense.coding import build_id_code, encode_step, initial_state
-from idsense.errors import (
-    IndexOutOfRange,
-    LengthMismatch,
-    RowNotNormalized,
-)
+from idsense.coding import _log_table, _loglik, build_id_code, encode_step, initial_state
+from idsense.errors import IndexOutOfRange, RowNotNormalized
 from tests.conftest import random_channel
 
 
@@ -130,20 +124,18 @@ class TestSampling:
 
 
 class TestLikelihood:
+    """The inner code's ML score is log2 W^n(y^n|x^n) on the averaged rows."""
+
+    @staticmethod
+    def likelihoods(ch, x_seq, tails):
+        table = _log_table(ch.rows, [x_seq])
+        return np.exp2(_loglik(table, np.asarray(tails, dtype=np.int64))[0])
+
     def test_length_one(self, flip):
-        assert sequence_likelihood(flip, [0], [1]) == pytest.approx(0.1, abs=1e-12)
+        assert self.likelihoods(flip, [0], [[1]])[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_flip_two_letters(self, flip):
-        assert sequence_likelihood(flip, [0, 0], [0, 0]) == pytest.approx(0.81, abs=1e-12)
-
-    def test_length_mismatch(self, flip):
-        with pytest.raises(LengthMismatch):
-            sequence_likelihood(flip, [0, 0], [0])
-
-    def test_log_matches_linear(self, flip):
-        lin = sequence_likelihood(flip, [0, 1, 0], [1, 1, 0])
-        log = sequence_log2_likelihood(flip, [0, 1, 0], [1, 1, 0])
-        assert lin == pytest.approx(2.0 ** log, rel=1e-12)
+        assert self.likelihoods(flip, [0, 0], [[0, 0]])[0] == pytest.approx(0.81, abs=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 6))
@@ -151,8 +143,7 @@ class TestLikelihood:
         from itertools import product
         ch = random_channel(np.random.default_rng(seed), 2, 2, 2)
         x = list(np.random.default_rng(seed + 1).integers(0, 2, size=n))
-        total = sum(sequence_likelihood(ch, x, list(y))
-                    for y in product(range(2), repeat=n))
+        total = self.likelihoods(ch, x, list(product(range(2), repeat=n))).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
 
 

@@ -190,6 +190,17 @@ def test_bad_config_file_exit_2(runner, tmp_path, text):
     assert "error: config file" in result.output
 
 
+# A directory is neither a config nor a distortion file; reading it is an
+# OSError that exits 2 like a missing file.
+@pytest.mark.parametrize("args", [["capacity", "--config"], ["estimate", "--distortion"]],
+                         ids=["config", "distortion"])
+def test_unreadable_file_exit_2(runner, tmp_path, args):
+    command, option = args
+    result = runner.invoke(main, [command, "--channel", "flip_bsc", option, str(tmp_path)])
+    assert_config_error(result)
+    assert f"error: cannot read {option[2:]} file" in result.output
+
+
 def _no_convergence(*args, **kwargs):
     raise NoConvergence(100000, 7.8e-9)
 

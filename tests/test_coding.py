@@ -331,6 +331,12 @@ class TestEncoderDecoder:
         with pytest.raises(IndexOutOfRange):
             code.coloring(1, y_pilot)
 
+    @pytest.mark.parametrize("y_pilot", [[0, 0, -1, 0], [0, 2, 0, 0]])
+    def test_pilot_typical_symbol_out_of_range(self, flip, ham2, y_pilot):
+        code = self._code(flip, ham2)
+        with pytest.raises(IndexOutOfRange):
+            code.pilot_typical(y_pilot)
+
     @pytest.mark.parametrize("y_tail", [[0, 7], [-1, 0]])
     def test_decode_symbol_out_of_range(self, flip, ham2, y_tail):
         code = self._code(flip, ham2)

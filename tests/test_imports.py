@@ -1,12 +1,17 @@
-"""No module of the library imports a name that it never uses, and no private
-module-level name is left unused by the package."""
+"""No module of the library imports a name that it never uses, no private
+module-level name is left unused by the package, the public surface is the
+pinned list below, and the README's examples run."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "idsense"
+import idsense
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "idsense"
 
 
 def loaded_names(tree: ast.AST) -> set[str]:
@@ -85,3 +90,34 @@ def test_no_unused_imports(module):
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+# Adding or removing a public name is a one-line change to this list.
+PUBLIC_SURFACE = [
+    "CapacityResult", "DistortionMatrix", "DistortionProfile", "EstimatorTable",
+    "IDFeedbackCode", "InputDistribution", "SimReport", "StateDMC", "TransmissionCode",
+    "TrialOutcome", "binary_entropy", "brute_force_estimator_distortion",
+    "build_id_code", "build_transmission_code", "capacity", "channel",
+    "channel_from_dict", "channel_to_dict", "coding", "coloring_value",
+    "coloring_values", "det_capacity_distortion", "det_feedback_capacity",
+    "distortion_profile", "encode_step", "entropy", "enumerate_typical_set", "errors",
+    "estimate_sequence", "estimation", "exact_error_probabilities", "feasible_inputs",
+    "feedback_update", "fixtures", "grid_capacity_oracle", "hamming_distortion",
+    "image_size_bound", "initial_state", "load_channel", "monte_carlo",
+    "optimal_estimator", "rand_capacity_distortion", "rand_feedback_capacity",
+    "rate_of_code", "run_trial", "sample_state_sequence", "shannon_capacity_avg",
+    "sim", "tradeoff_curve", "transmit", "typical_size_bounds", "typicality",
+    "validate_channel", "verify",
+]
+
+
+def test_public_surface():
+    assert sorted(idsense.__all__) == PUBLIC_SURFACE
+
+
+def test_readme_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -31,8 +31,9 @@ from idsense.sim import (
     exact_error_probabilities,
     grid_capacity_oracle,
 )
-from idsense.typicality import enumerate_blocks, enumerate_typical_set, typical_membership
+from idsense.typicality import enumerate_blocks, enumerate_typical_set
 from tests.conftest import random_channel
+from tests.reference import typical_membership
 
 
 def reference_confusion(code):

@@ -6,79 +6,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsense.channel import cumulative, sample_rows, \
-    sample_state_sequence, sequence_likelihood
+from idsense.channel import cumulative, sample_rows, sample_state_sequence
 from idsense.coding import build_id_code
-from idsense.errors import InvalidParameter, LengthMismatch, MissingRow, TooLargeToEnumerate
+from idsense.errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
 from idsense.sim import exact_error_probabilities
 from idsense.typicality import (
     counts_typical,
     enumerate_typical_set,
-    joint_type,
-    marginal_typical_membership,
-    max_norm_distance,
-    type_radius,
-    typical_membership,
+    symbol_counts,
     typical_size_bounds,
 )
+from tests.reference import sequence_likelihood, typical_membership
 
 
 class TestJointType:
-    def test_half_half(self):
-        t = joint_type([0, 0], [0, 1])
-        assert np.allclose(t.V[0], [0.5, 0.5], atol=1e-12)
+    """The typical set depends on (x^n, y^n) only through their joint type."""
 
-    def test_constant(self):
-        t = joint_type([1, 1, 1], [0, 0, 0], input_size=2, output_size=2)
-        assert np.allclose(t.V[1], [1.0, 0.0], atol=1e-12)
-        assert not t.present[0]
-
-    def test_concatenation_invariance(self):
-        x, y = [0, 1, 0], [1, 1, 0]
-        once = joint_type(x, y)
-        twice = joint_type(x + x, y + y)
-        assert np.allclose(once.V, twice.V, atol=1e-12)
-
-    def test_row_sums(self):
-        t = joint_type([0, 0, 1], [0, 1, 1])
-        assert t.counts.sum() == 3
-        assert np.allclose(t.V[t.present].sum(axis=1), 1.0, atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            joint_type([0], [0, 1])
+    def test_concatenation_invariance(self, flip):
+        x = [0, 1, 0]
+        for eps in (0.1, 0.4):
+            once = enumerate_typical_set(flip, x, eps)
+            twice = set(enumerate_typical_set(flip, x + x, eps))
+            assert once and all(y + y in twice for y in once)
 
 
 class TestMaxNorm:
     def test_zero_at_match(self, flip):
-        # a type exactly equal to the rows (rows are multiples of 1/10)
-        x = [0] * 10
-        y = [0] * 9 + [1]
-        t = joint_type(x, y, input_size=2, output_size=2)
-        assert max_norm_distance(t, flip, {0}) == pytest.approx(0.0, abs=1e-12)
+        # counts exactly equal to n times the row (rows are multiples of 1/10)
+        assert counts_typical([9, 1], flip.rows[0], 0.0)
 
     def test_single_letter(self, flip):
-        t = joint_type([0], [0], input_size=2, output_size=2)
-        assert max_norm_distance(t, flip, {0}) == pytest.approx(0.1, abs=1e-12)
-
-    def test_missing_row(self, flip):
-        t = joint_type([0], [0], input_size=2, output_size=2)
-        with pytest.raises(MissingRow):
-            max_norm_distance(t, flip, {1})
+        # one output 0 sits at distance 0.1 from the row [0.9, 0.1]
+        assert counts_typical([1, 0], flip.rows[0], 0.1)
+        assert not counts_typical([1, 0], flip.rows[0], 0.1 - 1e-6)
 
 
 class TestMembership:
     def test_exact_frequency_match(self, flip):
-        x = [0] * 10
-        y = [0] * 9 + [1]
-        assert typical_membership(flip, x, y, 1e-9)
+        assert counts_typical(np.bincount([0] * 9 + [1], minlength=2), flip.rows[0], 1e-9)
 
     def test_eps_zero_non_dyadic(self, flip):
         # no length-5 sequence has empirical frequency exactly 0.9
-        x = [0] * 5
         for trailing_ones in range(6):
-            y = [0] * (5 - trailing_ones) + [1] * trailing_ones
-            assert not typical_membership(flip, x, y, 0.0)
+            assert not counts_typical([5 - trailing_ones, trailing_ones], flip.rows[0], 0.0)
 
     def test_acceptance_fraction(self, flip):
         # every state, then every output of input 0, in one draw each
@@ -86,46 +56,55 @@ class TestMembership:
         n, reps = 10**4, 200
         states = sample_state_sequence(flip, reps * n, rng).reshape(reps, n)
         y = sample_rows(cumulative(flip.kernel[0])[states], rng.random((reps, n)))
-        accept = sum(typical_membership(flip, [0] * n, row, 0.05) for row in y)
+        accept = counts_typical(symbol_counts(y, 2), flip.rows[0], 0.05).sum()
         assert accept / reps >= 0.99
 
     def test_marginal_membership(self):
         row = np.array([0.5, 0.5])
-        assert marginal_typical_membership(row, [0, 1, 0, 1], 0.1)
-        assert not marginal_typical_membership(row, [0, 0, 0, 0], 0.1)
+        assert counts_typical(np.bincount([0, 1, 0, 1], minlength=2), row, 0.1)
+        assert not counts_typical(np.bincount([0, 0, 0, 0], minlength=2), row, 0.1)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_permutation_invariance(self, seed):
+        # permuting x^n permutes its typical set the same way
         from idsense.fixtures import flip_bsc
         flip = flip_bsc()
         rng = np.random.default_rng(seed)
-        x = list(rng.integers(0, 2, size=8))
-        y = list(rng.integers(0, 2, size=8))
+        x = rng.integers(0, 2, size=8)
         perm = rng.permutation(8)
-        xs, ys = [x[i] for i in perm], [y[i] for i in perm]
         for eps in (0.05, 0.2, 0.5):
-            assert typical_membership(flip, x, y, eps) == \
-                typical_membership(flip, xs, ys, eps)
+            members = enumerate_typical_set(flip, x, eps)
+            permuted = sorted(tuple(y[i] for i in perm) for y in members)
+            assert enumerate_typical_set(flip, x[perm], eps) == permuted
 
 
 class TestClosedBoundary:
     def test_most_likely_block_is_typical(self, flip):
         # the averaged row is stored as 0.8999999999999999, and the all-zero
         # block sits on the closed boundary N(0) = n * (w(0) + eps)
-        assert typical_membership(flip, [0] * 8, [0] * 8, 0.1)
+        assert counts_typical([8, 0], flip.rows[0], 0.1)
         assert len(enumerate_typical_set(flip, [0] * 8, 0.1)) == 9
 
-    def test_one_count_outside_ball(self, flip):
+    def test_one_count_outside_ball(self, flip, ham2):
         # n = 10, eps = 0.1: the ball is 8 <= N(0) <= 10
-        x, row = [0] * 10, flip.rows[0]
+        row = flip.rows[0]
+        code = build_id_code(flip, ham2, 0.45, n=10, identities=2, colors=2,
+                             eps=0.1, mode="det", master_seed=0)
+        assert code.pilot == 0
         inside, outside = [0] * 8 + [1] * 2, [0] * 7 + [1] * 3
-        assert typical_membership(flip, x, inside, 0.1)
-        assert not typical_membership(flip, x, outside, 0.1)
-        assert marginal_typical_membership(row, inside, 0.1)
-        assert not marginal_typical_membership(row, outside, 0.1)
+        assert counts_typical([8, 2], row, 0.1)
+        assert not counts_typical([7, 3], row, 0.1)
+        assert code.pilot_typical(inside)
+        assert not code.pilot_typical(outside)
         # the slack absorbs rounding, not a real excess over the radius
-        assert not typical_membership(flip, x, [0] * 10, 0.1 - 1e-6)
+        assert not counts_typical([10, 0], row, 0.1 - 1e-6)
+
+    def test_empty_pilot_block_refused(self, flip, ham2):
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=2, colors=2,
+                             eps=0.1, mode="det", master_seed=0)
+        with pytest.raises(LengthMismatch):
+            code.pilot_typical([])
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     def test_codec_harness_and_oracle_agree(self, flip, sensor, ham2, eps):
@@ -161,7 +140,7 @@ class TestSizeBounds:
 
     def test_distribution_pilot(self, flip):
         lo, hi = typical_size_bounds(flip, np.array([0.5, 0.5]), 8, 0.1)
-        c = type_radius(8, 0.1, 2, 2)
+        c = 0.1 * 2 * 2 * np.log2(9) / 8 + 0.1 * np.log2(2)
         assert lo == pytest.approx(8 * (1.0 - c), abs=1e-12)
         assert hi == pytest.approx(8 * (1.0 + c), abs=1e-12)
 
