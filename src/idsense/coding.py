@@ -38,6 +38,7 @@ from .typicality import counts_typical, enumerate_blocks
 
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
+ML_TIE_TOL = 1e-9             # bits; ML scores this close to a tail's maximum tie
 SUPPORT_TOL = 1e-9
 COLORING_BATCH_ROWS = 1024    # rows hashed together; bounds the transient digests
 RESTARTS = 32                 # random codebooks drawn per inner code
@@ -149,31 +150,34 @@ def coloring_values(master_seed: int, color_count: int, identity: int,
 class TransmissionCode:
     """An (k, M) code over the averaged channel with ML decoding.
 
-    `log_table[j, t, y]` caches log2 W_avg(y | u_j[t]); every decoder sums
-    it through `_loglik`, so all of them see the same likelihoods.
+    `log_table[j, t, y]` holds log2 W_avg(y | u_j[t]) and defines the
+    decoder: every decision is `_ml_decode` over it, and |Y| is its last axis.
     """
 
     k: int
     M: int
     codewords: tuple[tuple[int, ...], ...]
-    rows: np.ndarray            # averaged channel rows used for decoding
     log_table: np.ndarray       # shape (M, k, Y)
     max_error: float
     error_method: str           # "exact" or "monte-carlo"
 
     def decode(self, y_tail) -> int:
-        """ML message index in {1..M}; ties go to the lowest index."""
+        """ML message index in {1..M}.
+
+        Scores within ML_TIE_TOL bits of the best one tie, and the lowest
+        index among them wins (`_ml_decode`).
+        """
         y_tail = np.asarray(y_tail, dtype=np.int64)
         if y_tail.shape != (self.k,):
             raise LengthMismatch(f"tail must have length {self.k}")
-        _require_symbols(y_tail.tolist(), self.rows.shape[1])
-        return int(np.argmax(_loglik(self.log_table, y_tail[None])[:, 0])) + 1
+        _require_symbols(y_tail.tolist(), self.log_table.shape[2])
+        return int(_ml_decode(self.log_table, y_tail[None])[0][0]) + 1
 
 
 def _log_table(rows: np.ndarray, codewords) -> np.ndarray:
+    """log2 of the rows of each codeword's symbols: shape (M, k, Y)."""
     with np.errstate(divide="ignore"):
-        logrows = np.log2(rows)
-    return np.stack([logrows[np.asarray(cw)] for cw in codewords])
+        return np.log2(rows)[np.asarray(codewords)]
 
 
 def _loglik(table: np.ndarray, tails: np.ndarray) -> np.ndarray:
@@ -187,54 +191,72 @@ def _loglik(table: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return loglik
 
 
-def confusion_matrix(rows: np.ndarray, codewords) -> np.ndarray:
+def _ml_decode(table: np.ndarray, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ML message indices 0..M-1 of the tails, and their `_loglik` scores.
+
+    The one decision rule of every decoder: a score within ML_TIE_TOL bits
+    of the tail's best one ties with it, and the lowest index among the
+    tied messages wins, so a tie never depends on how rounding ordered
+    scores that are equal in exact arithmetic.
+    """
+    scores = _loglik(table, tails)
+    tied = scores >= scores.max(axis=0) - ML_TIE_TOL
+    return np.argmax(tied, axis=0), scores
+
+
+def confusion_matrix(log_table: np.ndarray) -> np.ndarray:
     """A[j, j'] = P(ML decode = j' | codeword u_j sent), by enumerating every tail."""
-    tails = enumerate_blocks(rows.shape[1], len(codewords[0]))
-    loglik = _loglik(_log_table(rows, codewords), tails)
-    decoded = np.argmax(loglik, axis=0)
+    messages, k, output_size = log_table.shape
+    decoded, loglik = _ml_decode(log_table, enumerate_blocks(output_size, k))
     lik = np.exp2(loglik)
-    confusion = np.empty((len(codewords), len(codewords)))
-    for j in range(len(codewords)):
+    confusion = np.empty((messages, messages))
+    for j in range(messages):
         confusion[:, j] = lik[:, decoded == j].sum(axis=1)
     return confusion
 
 
-def _exact_error_profile(rows: np.ndarray, codewords) -> np.ndarray:
+def _exact_error_profile(log_table: np.ndarray) -> np.ndarray:
     """Per-message ML error: one minus the confusion matrix's diagonal."""
-    return 1.0 - np.diag(confusion_matrix(rows, codewords))
+    return 1.0 - np.diag(confusion_matrix(log_table))
 
 
-def _mc_error_profile(rows: np.ndarray, codewords, rng: np.random.Generator,
-                      trials: int = MC_ERROR_TRIALS) -> np.ndarray:
+def _mc_error_profile(rows: np.ndarray, codewords, log_table: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Per-message ML error over MC_ERROR_TRIALS tails drawn from each codeword."""
     k = len(codewords[0])
     cum = cumulative(rows)
-    table = _log_table(rows, codewords)
     errors = np.empty(len(codewords))
     for j, cw in enumerate(codewords):
-        y = sample_rows(cum[np.asarray(cw)], rng.random((trials, k)))
-        errors[j] = float(np.mean(np.argmax(_loglik(table, y), axis=0) != j))
+        y = sample_rows(cum[np.asarray(cw)], rng.random((MC_ERROR_TRIALS, k)))
+        errors[j] = float(np.mean(_ml_decode(log_table, y)[0] != j))
     return errors
 
 
-def _improve_codebook(rows: np.ndarray, codewords: list, candidates: list):
-    """Greedy swap descent on the maximal exact error, for tiny codeword spaces."""
-    current = float(_exact_error_profile(rows, codewords).max())
+def _improve_codebook(codewords: list, log_table: np.ndarray, candidates: list,
+                      candidate_tables: np.ndarray):
+    """Greedy swap descent on the maximal exact error, for tiny codeword spaces.
+
+    `candidate_tables[c]` is the log table row of `candidates[c]`, so a swap
+    replaces one row of the current table.  Returns the error, the codewords
+    and their table.
+    """
+    current = float(_exact_error_profile(log_table).max())
     for _ in range(100):
         best_swap, best_err = None, current
         for j in range(len(codewords)):
-            for cand in candidates:
+            for c, cand in enumerate(candidates):
                 if cand in codewords:
                     continue
-                trial = list(codewords)
-                trial[j] = cand
-                err = float(_exact_error_profile(rows, trial).max())
+                trial = log_table.copy()
+                trial[j] = candidate_tables[c]
+                err = float(_exact_error_profile(trial).max())
                 if err < best_err - 1e-15:
-                    best_swap, best_err = (j, cand), err
+                    best_swap, best_err, best_table = (j, cand), err, trial
         if best_swap is None:
             break
         codewords[best_swap[0]] = best_swap[1]
-        current = best_err
-    return current, tuple(codewords)
+        current, log_table = best_err, best_table
+    return current, tuple(codewords), log_table
 
 
 def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
@@ -277,31 +299,31 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
                     break
             codewords.append(cw)
             seen.add(cw)
+        table = _log_table(ch.rows, codewords)
         if exact:
-            errors = _exact_error_profile(ch.rows, codewords)
-            method = "exact"
+            errors = _exact_error_profile(table)
         else:
-            errors = _mc_error_profile(ch.rows, codewords, rng)
-            method = "monte-carlo"
+            errors = _mc_error_profile(ch.rows, codewords, table, rng)
         worst = float(errors.max())
         if best is None or worst < best[0]:
-            best = (worst, tuple(codewords), method)
+            best = (worst, tuple(codewords), table)
         if worst == 0.0:
             break
 
-    worst, codewords, method = best
+    worst, codewords, table = best
     if exact and distinct_available <= 256 and worst > 0.0:
         candidates = np.array(active)[enumerate_blocks(len(active), k)]
-        worst, codewords = _improve_codebook(ch.rows, list(codewords),
-                                             list(map(tuple, candidates.tolist())))
+        worst, codewords, table = _improve_codebook(
+            list(codewords), table, list(map(tuple, candidates.tolist())),
+            _log_table(ch.rows, candidates))
     if worst >= 0.5:
         raise TooManyMessages(
             f"M={M} messages exceed what blocklength k={k} supports "
             f"(measured maximal error {worst:.3f})"
         )
-    return TransmissionCode(k=k, M=M, codewords=codewords, rows=ch.rows,
-                            log_table=_log_table(ch.rows, codewords),
-                            max_error=worst, error_method=method)
+    return TransmissionCode(k=k, M=M, codewords=codewords, log_table=table,
+                            max_error=worst,
+                            error_method="exact" if exact else "monte-carlo")
 
 
 # --- the concatenated ID feedback code ---------------------------------------
@@ -337,8 +359,13 @@ class IDFeedbackCode:
         return coloring_value(self.master_seed, self.color_count, identity, y_pilot)
 
     def colorings(self, identity: int, blocks: np.ndarray) -> np.ndarray:
-        """`coloring` of every row of `blocks`, as an int64 array."""
+        """`coloring` of every row of `blocks`, as an int64 array; every
+        symbol must be in 0..|Y|-1."""
         self._require_identity(identity)
+        blocks = np.asarray(blocks)
+        size = self.pilot_row.shape[0]
+        # one vectorized comparison picks the symbols out of range; the first raises
+        _require_symbols(blocks[(blocks < 0) | (blocks >= size)].tolist(), size)
         return coloring_values(self.master_seed, self.color_count, identity, blocks)
 
     def pilot_typical(self, y_pilot) -> bool:

@@ -23,6 +23,10 @@ class NegativeProbability(IdsenseError):
     pass
 
 
+class NegativeDistortion(IdsenseError):
+    pass
+
+
 class IndexOutOfRange(IdsenseError):
     pass
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .channel import StateDMC
 from .errors import (
-    IdsenseError,
     InfeasibleDistortion,
     LengthMismatch,
+    NegativeDistortion,
     NotADistribution,
 )
 
@@ -24,10 +24,6 @@ from .errors import (
 # (D exactly equal to some d*(x)) count as feasible.
 FEASIBILITY_TOL = 1e-12
 SIMPLEX_TOL = 1e-9
-
-
-class NegativeDistortion(IdsenseError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
-from .coding import ABORT_COLOR, IDFeedbackCode, _loglik, confusion_matrix, encode_step, \
+from .coding import ABORT_COLOR, IDFeedbackCode, _ml_decode, confusion_matrix, encode_step, \
     feedback_update, initial_state, verify
 from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter
 from .estimation import (
@@ -225,7 +225,7 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
     tail_rows = codewords[sent_colors - 1] * state_size + states[:, n:]
     y_tail = sample_rows(cum_kernel, rng.random((trials, k)), tail_rows)
     dvals[:, n:] = fused.take(tail_rows * output_size + y_tail)
-    decoded = np.argmax(_loglik(code.inner.log_table, y_tail), axis=0) + 1
+    decoded = _ml_decode(code.inner.log_table, y_tail)[0] + 1
 
     accept = typical & (decoded == tested_colors)
     return accept, dvals
@@ -304,7 +304,7 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
 def require_exact_enumerable(code: IDFeedbackCode, ch: StateDMC) -> None:
     """Raise the `TooLargeToEnumerate` that `exact_error_probabilities` would,
     without enumerating: the |Y|^k tails first, then the |Y|^n pilot blocks."""
-    require_enumerable(code.inner.rows.shape[1], len(code.inner.codewords[0]))
+    require_enumerable(code.inner.log_table.shape[2], code.inner.k)
     require_enumerable(ch.output_size, code.n)
 
 
@@ -321,7 +321,7 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
     The |Y|^n pilot blocks and the |Y|^k tails are enumerated, and so
     guarded by `enumerate_blocks`, apart.
     """
-    confusion = confusion_matrix(code.inner.rows, code.inner.codewords)
+    confusion = confusion_matrix(code.inner.log_table)
     row = code.pilot_row
     identities = sorted({i for i, _ in pairs} | {i for _, i in pairs})
 

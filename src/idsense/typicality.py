@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacity import entropy
 from .channel import StateDMC
-from .errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
+from .errors import IndexOutOfRange, InvalidParameter, LengthMismatch, TooLargeToEnumerate
 from .estimation import _check_distribution
 
 ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
@@ -104,6 +104,9 @@ def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ..
     x_seq = np.array([int(x) for x in x_seq], dtype=np.int64)
     if x_seq.size == 0:
         raise LengthMismatch("sequences must have length >= 1")
+    outside = x_seq[(x_seq < 0) | (x_seq >= ch.input_size)]
+    if outside.size:
+        raise IndexOutOfRange(f"input symbol {outside[0]} out of range 0..{ch.input_size - 1}")
     rows = ch.rows
     members = []
     for chunk in chunks(enumerate_blocks(ch.output_size, x_seq.size)):

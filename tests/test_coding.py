@@ -8,7 +8,9 @@ from idsense.capacity import det_capacity_distortion, shannon_capacity_avg
 from idsense.channel import StateDMC
 from idsense.coding import (
     ABORT_COLOR,
+    ML_TIE_TOL,
     _loglik,
+    _ml_decode,
     build_id_code,
     build_transmission_code,
     coloring_value,
@@ -165,7 +167,7 @@ class TestTransmissionCode:
 
 
 class TestLoglikReference:
-    """`decode` scores through `_loglik`, the scorer of every batched decoder."""
+    """`decode` decides through `_ml_decode`, the rule of every batched decoder."""
 
     # criterion 8's n = 16 code (k = 4) and its n = 9 code (k = 3)
     @pytest.mark.parametrize("n,identities,colors,master_seed",
@@ -174,11 +176,41 @@ class TestLoglikReference:
         inner = build_id_code(flip, ham2, 0.45, n=n, identities=identities, colors=colors,
                               eps=0.3, mode="det", master_seed=master_seed).inner
         tails = enumerate_blocks(flip.output_size, inner.k)
-        batched = np.argmax(_loglik(inner.log_table, tails), axis=0) + 1
-        # the scalar decoder's former score: one ndarray.sum per tail
-        summed = [int(np.argmax(inner.log_table[:, np.arange(inner.k), tail].sum(axis=1))) + 1
-                  for tail in tails.astype(np.int64)]
+        batched = _ml_decode(inner.log_table, tails)[0] + 1
+        # the scalar decoder's former score, one ndarray.sum per tail, under the stated
+        # rule: the lowest index within ML_TIE_TOL bits of the best score
+        summed = []
+        for tail in tails.astype(np.int64):
+            scores = inner.log_table[:, np.arange(inner.k), tail].sum(axis=1)
+            summed.append(int(np.flatnonzero(scores >= scores.max() - ML_TIE_TOL)[0]) + 1)
         assert [inner.decode(tail) for tail in tails] == batched.tolist() == summed
+
+
+class TestMLTieRule:
+    """On FlipBSC an ML score depends on the tail only through its Hamming
+    distance to the codeword, so the decision has an integer oracle: the
+    lowest index among the codewords at minimum distance.  Tied scores that
+    differ in the last bit must not decide it."""
+
+    @staticmethod
+    def _inner(flip, ham2, n):
+        return build_id_code(flip, ham2, 1.0, n, 2 ** 8, 5, 0.1, "det", 1).inner
+
+    @pytest.mark.parametrize("n", [16, 49, 81, 144])
+    def test_lowest_index_at_minimum_distance(self, flip, ham2, n):
+        inner = self._inner(flip, ham2, n)
+        tails = enumerate_blocks(flip.output_size, inner.k)
+        distances = (np.array(inner.codewords)[:, None, :] != tails[None, :, :]).sum(axis=2)
+        closest = [int(np.flatnonzero(d == d.min())[0]) + 1 for d in distances.T]
+        assert [inner.decode(tail) for tail in tails] == closest
+
+    def test_tied_tail_goes_to_lowest_index(self, flip, ham2):
+        inner = self._inner(flip, ham2, 16)
+        assert inner.codewords[2:4] == ((0, 1, 0, 0), (1, 0, 1, 1))
+        # (0, 0, 1, 0) is at distance 2 from both messages 3 and 4
+        assert inner.decode((0, 0, 1, 0)) == 3
+        scores = _loglik(inner.log_table, np.array([[0, 0, 1, 0]]))[:, 0]
+        assert scores[2] != scores[3] and abs(scores[2] - scores[3]) < ML_TIE_TOL
 
 
 class TestBuildIDCode:
@@ -342,6 +374,17 @@ class TestEncoderDecoder:
         code = self._code(flip, ham2)
         with pytest.raises(IndexOutOfRange):
             code.inner.decode(y_tail)
+
+    # batched coloring refuses what the scalar one does: a wide symbol past the
+    # alphabet used to get a color, and -1 ended in a bare ValueError from bytes()
+    @pytest.mark.parametrize("row", [[5, 7, 9, 200], [0, -1, 0, 0]])
+    def test_colorings_symbol_out_of_range(self, flip, ham2, row):
+        code = self._code(flip, ham2)
+        assert code.n == len(row)
+        with pytest.raises(IndexOutOfRange):
+            code.coloring(1, row)
+        with pytest.raises(IndexOutOfRange):
+            code.colorings(1, np.array([[0, 0, 0, 0], row]))
 
 
 class TestCollisionBound:

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from idsense.capacity import _constrained_vertices
 from idsense.channel import StateDMC
-from idsense.errors import LengthMismatch, NotADistribution
+from idsense.errors import LengthMismatch, NegativeDistortion, NotADistribution
 from idsense.estimation import (
     DistortionMatrix,
-    NegativeDistortion,
     _check_distribution,
     _feasible_inputs,
     estimate_sequence,

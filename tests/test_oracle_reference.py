@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from idsense import fixtures
-from idsense.coding import build_id_code
+from idsense.coding import ML_TIE_TOL, build_id_code
 from idsense.errors import DegenerateCode, InfeasibleDistortion, TooLargeToEnumerate
 from idsense.estimation import (
     FEASIBILITY_TOL,
@@ -37,12 +37,15 @@ from tests.reference import typical_membership
 
 
 def reference_confusion(code):
-    tails = np.array(list(product(range(code.inner.rows.shape[1]), repeat=code.inner.k)),
+    tails = np.array(list(product(range(code.inner.log_table.shape[2]), repeat=code.inner.k)),
                      dtype=np.int64)
     loglik = np.zeros((code.color_count, tails.shape[0]))
     for t in range(code.inner.k):
         loglik += code.inner.log_table[:, t, tails[:, t]]
-    decoded = np.argmax(loglik, axis=0)
+    # the stated ML rule: the lowest index whose score is within ML_TIE_TOL of the best
+    decoded = np.array([min(j for j, score in enumerate(scores)
+                            if score >= max(scores) - ML_TIE_TOL)
+                        for scores in loglik.T.tolist()])
     lik = np.exp2(loglik)
     confusion = np.zeros((code.color_count, code.color_count))
     for jp in range(code.color_count):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from idsense.channel import cumulative, sample_rows, sample_state_sequence
 from idsense.coding import build_id_code
-from idsense.errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
+from idsense.errors import IndexOutOfRange, InvalidParameter, LengthMismatch, TooLargeToEnumerate
 from idsense.sim import exact_error_probabilities
 from idsense.typicality import (
     counts_typical,
@@ -163,6 +163,12 @@ class TestEnumeration:
     def test_guard(self, flip):
         with pytest.raises(TooLargeToEnumerate):
             enumerate_typical_set(flip, [0] * 25, 0.1)
+
+    # -1 used to wrap to the typical set of input 1, and 5 ended in a bare IndexError
+    @pytest.mark.parametrize("x_seq", [[-1, -1], [5]])
+    def test_input_symbol_out_of_range(self, flip, x_seq):
+        with pytest.raises(IndexOutOfRange):
+            enumerate_typical_set(flip, x_seq, 0.3)
 
     def test_mass_exponent_positive(self, flip):
         # enumerated mass at n=12, eps=0.1 gives a positive decay exponent
