@@ -6,9 +6,10 @@ over a polytope, by one pairwise Frank-Wolfe solver with a duality-gap
 certificate and closed-form Newton line searches: the randomized ID
 capacity (h = 0, the simplex), its distortion-constrained variant (h = 0,
 the simplex cut by the budget) and the Shannon capacity (h(x) = H(w_x), so
-f = I(P;W) and the gap is Blahut's bound gap).  The Shannon solve and the
-zero-capacity decision take a row matrix, so the inner transmission code
-uses them on its restricted channel too.  The image-size converse
+f = I(P;W) and the gap is Blahut's bound gap).  The Shannon solve takes a
+row matrix, so the inner transmission code runs it on its restricted
+channel and decides zero capacity on its value, the decision the
+capacities' early-stopping guard reaches.  The image-size converse
 (`image_size_bound`) solves nothing: it is one formula over a rate the
 caller has already computed.  All quantities are in bits.
 """
@@ -222,9 +223,9 @@ def _frank_wolfe(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
     raise NoConvergence(MAX_ITERS, gap=gap)
 
 
-def _max_mixture_entropy(rows: np.ndarray, verts: np.ndarray, tol: float) -> CapacityResult:
+def _max_mixture_entropy(rows: np.ndarray, verts: np.ndarray) -> CapacityResult:
     """max of H(PW) over the convex hull of verts, with its certificate."""
-    p, gap, it = _frank_wolfe(rows, verts, np.zeros(rows.shape[0]), tol)
+    p, gap, it = _frank_wolfe(rows, verts, np.zeros(rows.shape[0]), DEFAULT_TOL)
     return CapacityResult(value=_mixture_entropy(rows, p), maximizer=InputDistribution(p=p),
                           optimality_gap=gap, iterations=it)
 
@@ -257,12 +258,12 @@ def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
 def _require_positive_capacity(rows: np.ndarray):
     """Raise ZeroCapacityChannel unless C(rows) exceeds ZERO_CAPACITY_TOL.
 
-    C(rows) is the Shannon capacity of a row matrix: the averaged channel's,
-    or the restricted one of an inner code.  The Shannon solve runs only
-    until its bounds decide, lower = I(p; W) and upper = lower + gap:
-    lower > tol is positive, upper <= tol is zero, and once gap <= tol
-    (where a full solve would stop) lower <= tol is zero.  Since lower never
-    decreases, this is the decision of a full solve, reached earlier.
+    The decision of the four capacities on the averaged channel (a single
+    input has C = 0).  The Shannon solve runs only until its bounds decide,
+    lower = I(p; W) and upper = lower + gap: lower > tol is positive, upper
+    <= tol is zero, and once gap <= tol (where a full solve would stop)
+    lower <= tol is zero.  Since lower never decreases, this is the decision
+    of a full solve, the inner code's test, reached earlier.
     """
     if rows.shape[0] > 1:
         h = _row_entropies(rows)
@@ -292,16 +293,10 @@ def det_feedback_capacity(ch: StateDMC) -> CapacityResult:
     return _best_row(ch.rows, range(ch.input_size))
 
 
-def rand_feedback_capacity(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityResult:
+def rand_feedback_capacity(ch: StateDMC) -> CapacityResult:
     """max_P H(sum_x P(x) q_x); requires positive Shannon capacity."""
-    rows = ch.rows
-    nx = rows.shape[0]
-    if nx == 1:
-        # singleton simplex: the maximization is exact and needs no hypothesis
-        return CapacityResult(value=entropy(rows[0]),
-                              maximizer=InputDistribution(p=np.ones(1)))
     _require_positive_capacity(ch.rows)
-    return _max_mixture_entropy(rows, np.eye(nx), tol)
+    return _max_mixture_entropy(ch.rows, np.eye(ch.input_size))
 
 
 # --- capacity-distortion functions ------------------------------------------
@@ -335,16 +330,15 @@ def _constrained_vertices(profile: np.ndarray, budget: float,
     return np.array(vertices)
 
 
-def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix, budget: float,
-                             tol: float = DEFAULT_TOL) -> CapacityResult:
+def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix,
+                             budget: float) -> CapacityResult:
     """max_{P : d*(P) <= D} of the output-mixture entropy."""
     profile, feasible = _feasible_inputs(ch, dist, budget)
     _require_positive_capacity(ch.rows)
-    return _max_mixture_entropy(ch.rows, _constrained_vertices(profile, budget, feasible), tol)
+    return _max_mixture_entropy(ch.rows, _constrained_vertices(profile, budget, feasible))
 
 
-def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
-                   tol: float = DEFAULT_TOL) -> list[dict]:
+def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str) -> list[dict]:
     """Pointwise capacity-distortion curve; infeasible points flagged, never interpolated."""
     if mode not in ("det", "rand"):
         raise InvalidParameter(f"unknown mode {mode!r}")
@@ -354,7 +348,7 @@ def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str,
             if mode == "det":
                 res = det_capacity_distortion(ch, dist, budget)
             else:
-                res = rand_capacity_distortion(ch, dist, budget, tol=tol)
+                res = rand_capacity_distortion(ch, dist, budget)
             points.append({"D": float(budget), "feasible": True, "value": res.value})
         except InfeasibleDistortion:
             points.append({"D": float(budget), "feasible": False, "value": None})

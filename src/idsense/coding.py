@@ -17,8 +17,8 @@ import numpy as np
 
 from .channel import StateDMC, cumulative, sample_rows
 from .capacity import (
+    ZERO_CAPACITY_TOL,
     InputDistribution,
-    _require_positive_capacity,
     _shannon,
     det_capacity_distortion,
     rand_capacity_distortion,
@@ -26,7 +26,6 @@ from .capacity import (
 from .errors import (
     DegenerateCode,
     IndexOutOfRange,
-    InfeasibleDistortion,
     InvalidParameter,
     LengthMismatch,
     OutOfTime,
@@ -263,23 +262,21 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
                             rng: np.random.Generator) -> TransmissionCode:
     """Random codebook over the feasible inputs with ML decoding.
 
-    The restricted averaged channel (the rows of the feasible inputs) must
-    have positive Shannon capacity, decided by the guard of every capacity.
-    Codewords are drawn i.i.d. from its capacity-achieving distribution, the
-    Frank-Wolfe Shannon solve of `capacity`; duplicate codewords are
-    resampled while distinct ones remain available, and the best of RESTARTS
-    codebooks (smallest measured maximal error) is kept.
+    One Shannon solve of the restricted averaged channel (the rows of the
+    feasible inputs) decides zero capacity, as the capacities' guard does,
+    and gives the codeword law.  Of RESTARTS i.i.d. codebooks (duplicates
+    resampled while distinct codewords remain), the one of smallest measured
+    maximal error is kept.  On a small codeword space a swap descent starts
+    from it, then from each next distinct one while it ends at error >= 0.5;
+    a refusal reports the first descent.
     """
     if M < 2:
         raise DegenerateCode("an inner code needs at least 2 messages")
     support = sorted(set(int(x) for x in feasible))
-    if not support:
-        raise InfeasibleDistortion(float("nan"))
-    if len(support) == 1:
-        raise ZeroCapacityChannel("a single feasible input cannot carry messages")
-    restricted = ch.rows[support]
-    _require_positive_capacity(restricted)
-    p_opt = _shannon(restricted).maximizer.p
+    shannon = _shannon(ch.rows[support]) if len(support) > 1 else None
+    if shannon is None or shannon.value <= ZERO_CAPACITY_TOL:
+        raise ZeroCapacityChannel("averaged channel has zero Shannon capacity")
+    p_opt = shannon.maximizer.p
     p_opt = np.where(p_opt < SUPPORT_TOL, 0.0, p_opt)
     p_opt /= p_opt.sum()
     active = [support[i] for i in np.flatnonzero(p_opt)]
@@ -287,7 +284,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     distinct_available = len(active) ** k
     exact = ch.output_size ** k <= EXACT_ERROR_GUARD
 
-    best = None
+    drawn = []
     for _ in range(RESTARTS):
         codewords: list[tuple[int, ...]] = []
         seen = set()
@@ -304,18 +301,21 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
             errors = _exact_error_profile(table)
         else:
             errors = _mc_error_profile(ch.rows, codewords, table, rng)
-        worst = float(errors.max())
-        if best is None or worst < best[0]:
-            best = (worst, tuple(codewords), table)
-        if worst == 0.0:
+        drawn.append((float(errors.max()), tuple(codewords), table))
+        if drawn[-1][0] == 0.0:
             break
 
-    worst, codewords, table = best
+    drawn.sort(key=lambda restart: restart[0])   # stable: the first best leads
+    worst, codewords, table = drawn[0]
     if exact and distinct_available <= 256 and worst > 0.0:
         candidates = np.array(active)[enumerate_blocks(len(active), k)]
-        worst, codewords, table = _improve_codebook(
-            list(codewords), table, list(map(tuple, candidates.tolist())),
-            _log_table(ch.rows, candidates))
+        swaps = (list(map(tuple, candidates.tolist())), _log_table(ch.rows, candidates))
+        for i, (start, start_table) in enumerate({cw: t for _, cw, t in drawn}.items()):
+            descent = _improve_codebook(list(start), start_table, *swaps)
+            if i == 0 or descent[0] < 0.5:
+                worst, codewords, table = descent
+            if worst < 0.5:
+                break
     if worst >= 0.5:
         raise TooManyMessages(
             f"M={M} messages exceed what blocklength k={k} supports "

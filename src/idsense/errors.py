@@ -53,12 +53,10 @@ class NoConvergence(IdsenseError):
 
 
 class InfeasibleDistortion(IdsenseError):
-    def __init__(self, budget: float, min_feasible: float | None = None):
+    def __init__(self, budget: float, min_feasible: float):
         self.budget, self.min_feasible = budget, min_feasible
-        msg = f"no feasible input at distortion budget {budget!r}"
-        if min_feasible is not None:
-            msg += f"; smallest feasible budget is {min_feasible!r}"
-        super().__init__(msg)
+        super().__init__(f"no feasible input at distortion budget {budget!r}; "
+                         f"smallest feasible budget is {min_feasible!r}")
 
 
 class TooLargeToEnumerate(IdsenseError):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import StateDMC
 from .errors import (
+    DimensionMismatch,
     InfeasibleDistortion,
     LengthMismatch,
     NegativeDistortion,
@@ -79,8 +80,16 @@ def _check_distribution(p, size: int) -> np.ndarray:
     return p
 
 
+def _require_fit(ch: StateDMC, dist: DistortionMatrix) -> None:
+    """Refuse a distortion matrix without one row per state or without a column."""
+    if dist.d.shape[0] != ch.state_size or dist.d.size == 0:
+        raise DimensionMismatch(f"distortion matrix has shape {dist.d.shape}, not one "
+                                f"row for each of the {ch.state_size} states")
+
+
 def posterior_cost(ch: StateDMC, dist: DistortionMatrix) -> np.ndarray:
     """cost[x, y, s_hat] = sum_s P_S(s) W(y|x,s) d(s, s_hat) (unnormalized posterior cost)."""
+    _require_fit(ch, dist)
     return np.einsum("s,xsy,st->xyt", ch.state_prior, ch.kernel, dist.d)
 
 

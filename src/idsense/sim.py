@@ -349,13 +349,13 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
 
 
 def brute_force_estimator_distortion(ch: StateDMC, dist: DistortionMatrix):
-    """Exhaustive search over all |S|^(|X||Y|) estimator tables.
+    """Exhaustive search over all |S_hat|^(|X||Y|) estimator tables (S_hat: d's columns).
 
     Returns (per-input expected distortion of the best table, best table).
     The best table is the first (lexicographic) minimizer of the uniform-over-inputs mean.
     """
     nx, ny = ch.input_size, ch.output_size
-    tables = enumerate_blocks(ch.state_size, nx * ny)
+    tables = enumerate_blocks(dist.d.shape[1], nx * ny)
     cost = posterior_cost(ch, dist).reshape(nx * ny, -1)  # (X*Y, S_hat)
 
     def per_input(rows: np.ndarray) -> np.ndarray:

@@ -27,11 +27,13 @@ from idsense.capacity import (
     tradeoff_curve,
 )
 from idsense.channel import StateDMC
+from idsense.coding import build_transmission_code
 from idsense.errors import (
     DegenerateCode,
     InfeasibleDistortion,
     InvalidParameter,
     NotADistribution,
+    TooManyMessages,
     ZeroCapacityChannel,
 )
 from idsense.estimation import hamming_distortion
@@ -149,11 +151,14 @@ class TestFeedbackCapacities:
     def test_sensor_rand(self, sensor):
         assert rand_feedback_capacity(sensor).value == pytest.approx(1.0, abs=1e-6)
 
-    def test_singleton_input(self):
-        ch = StateDMC(1, 2, 1, np.array([[[0.3, 0.7]]]), np.array([1.0]))
-        res = rand_feedback_capacity(ch)
-        assert res.value == pytest.approx(entropy([0.3, 0.7]), abs=1e-12)
-        assert res.optimality_gap == 0.0
+    def test_singleton_input(self, ham2):
+        # one input carries nothing: C = 0, so every capacity refuses it
+        ch = StateDMC(1, 2, 2, np.array([[[0.3, 0.7], [0.6, 0.4]]]), np.array([0.5, 0.5]))
+        for capacity in (det_feedback_capacity, rand_feedback_capacity,
+                         lambda ch: det_capacity_distortion(ch, ham2, 1.0),
+                         lambda ch: rand_capacity_distortion(ch, ham2, 1.0)):
+            with pytest.raises(ZeroCapacityChannel):
+                capacity(ch)
 
     def test_rand_dominates_det(self, flip, sensor):
         for ch in (flip, sensor):
@@ -162,7 +167,7 @@ class TestFeedbackCapacities:
             assert 0.0 <= d <= r + 1e-9 <= math.log2(ch.output_size) + 1e-9
 
     def test_gap_certificate(self, flip):
-        res = rand_feedback_capacity(flip, tol=1e-9)
+        res = rand_feedback_capacity(flip)
         assert 0.0 <= res.optimality_gap <= 1e-9
 
     def test_seed_35_one_bit(self):
@@ -243,6 +248,25 @@ def guard_says_zero(rows) -> bool:
     return False
 
 
+def inner_says_zero(rows) -> bool:
+    """The inner code's decision, on its one Shannon solve of every input of `rows`."""
+    try:
+        build_transmission_code(one_state(rows), 1, 2, range(len(rows)),
+                                np.random.default_rng(0))
+    except ZeroCapacityChannel:
+        return True
+    except TooManyMessages:
+        pass
+    return False
+
+
+def deciders_say_zero(rows) -> bool:
+    """The guard's decision, after checking that the inner code reaches it too."""
+    zero = guard_says_zero(rows)
+    assert inner_says_zero(rows) == zero
+    return zero
+
+
 def near_zero_channel(w: StateDMC, delta: float) -> StateDMC:
     """(1 - delta) * uniform rows + delta * w: capacity of order delta^2."""
     kernel = (1.0 - delta) / w.output_size + delta * w.kernel
@@ -250,20 +274,21 @@ def near_zero_channel(w: StateDMC, delta: float) -> StateDMC:
 
 
 class TestZeroCapacityGuard:
-    """The early-stopping guard decides as a full BA solve does."""
+    """The early-stopping guard and the inner code's full solve decide as a
+    full BA solve does."""
 
     @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 2), (3, 3, 3)])
     def test_sweep_channels(self, shape):
         for seed in range(6):
             ch = random_channel(np.random.default_rng(seed), *shape)
-            assert guard_says_zero(ch.rows) == reference_says_zero(ch.rows)
+            assert deciders_say_zero(ch.rows) == reference_says_zero(ch.rows)
 
     def test_fixtures_and_degenerate(self):
         single = StateDMC(1, 2, 1, np.array([[[0.3, 0.7]]]), np.array([1.0]))
         cases = [(fixtures.flip_bsc(), False), (fixtures.sensor(), False),
                  (uniform_rows_channel(), True), (single, True)]
         for ch, zero in cases:
-            assert guard_says_zero(ch.rows) == reference_says_zero(ch.rows) == zero
+            assert deciders_say_zero(ch.rows) == reference_says_zero(ch.rows) == zero
 
     def test_near_zero_straddles_tolerance(self):
         # FlipBSC and Sensor mixtures put C on both sides of the tolerance;
@@ -278,7 +303,7 @@ class TestZeroCapacityGuard:
         for w, deltas in cases:
             for delta in deltas:
                 ch = near_zero_channel(w, delta)
-                decisions.append(guard_says_zero(ch.rows))
+                decisions.append(deciders_say_zero(ch.rows))
                 assert decisions[-1] == reference_says_zero(ch.rows)
         assert True in decisions and False in decisions
 
@@ -286,7 +311,7 @@ class TestZeroCapacityGuard:
         # a full solve stops at 100,000 iterations with a gap of 2.8e-9;
         # the uniform input alone already gives I = 9.9e-5 bits
         ch = random_channel(np.random.default_rng(244), 3, 2, 2)
-        assert not guard_says_zero(ch.rows)
+        assert not deciders_say_zero(ch.rows)
 
     def test_near_zero_decided_positive(self):
         # the bounds after one iteration are [1.28e-9, 1.34e-9]; Blahut-Arimoto
@@ -294,7 +319,7 @@ class TestZeroCapacityGuard:
         # is the reference
         w = random_channel(np.random.default_rng(178), 4, 3, 2)
         ch = near_zero_channel(w, 7.08e-5)
-        assert not guard_says_zero(ch.rows)
+        assert not deciders_say_zero(ch.rows)
         res = shannon_capacity_avg(ch)
         assert res.value > ZERO_CAPACITY_TOL
         assert res.value == pytest.approx(1.3e-9, abs=1e-10)

@@ -19,7 +19,7 @@ from idsense.channel import (
     validate_channel,
 )
 from idsense.coding import _log_table, _loglik, build_id_code, encode_step, initial_state
-from idsense.errors import IndexOutOfRange, RowNotNormalized
+from idsense.errors import DimensionMismatch, IndexOutOfRange, RowNotNormalized
 from tests.conftest import random_channel
 
 
@@ -152,6 +152,20 @@ class TestSerialization:
         again = channel_from_dict(channel_to_dict(flip))
         assert np.array_equal(again.kernel, flip.kernel)
         assert np.array_equal(again.state_prior, flip.state_prior)
+
+    @pytest.mark.parametrize("key", ["input_size", "output_size", "state_size",
+                                     "state_prior", "kernel"])
+    def test_missing_key(self, flip, key):
+        spec = channel_to_dict(flip)
+        del spec[key]
+        with pytest.raises(DimensionMismatch, match=f"missing key '{key}'"):
+            channel_from_dict(spec)
+
+    def test_declared_sizes_must_match_kernel(self, flip):
+        spec = channel_to_dict(flip)
+        spec["output_size"] = 3
+        with pytest.raises(DimensionMismatch, match="declared sizes"):
+            channel_from_dict(spec)
 
     def test_load_channel_with_distortion(self, tmp_path, flip):
         spec = channel_to_dict(flip)

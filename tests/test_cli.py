@@ -327,6 +327,47 @@ class TestEstimateCommand:
         assert_config_error(result)
         assert "2 states" in result.output
 
+    @pytest.mark.parametrize("form", ["object", "list"])
+    def test_distortion_file_matches_hamming(self, runner, tmp_path, form):
+        matrix = [[0.0, 1.0], [1.0, 0.0]]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"distortion": matrix} if form == "object" else matrix))
+        args = ["estimate", "--channel", "flip_bsc", "-D", "0.45", "--distortion"]
+        from_file = runner.invoke(main, args + [str(path)])
+        hamming = runner.invoke(main, args + ["hamming"])
+        assert from_file.exit_code == hamming.exit_code == 0
+        assert from_file.stdout_bytes == hamming.stdout_bytes
+
+    # the estimator picks among the matrix's columns, so the exhaustive oracle
+    # must search tables over three reconstructions, and over one
+    @pytest.mark.parametrize("matrix,estimator", [
+        ([[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]], [[2, 1], [1, 2]]),
+        ([[0.0], [1.0]], [[0, 0], [0, 0]])])
+    def test_reconstructions_other_than_states(self, runner, tmp_path, matrix, estimator):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"distortion": matrix}))
+        result = runner.invoke(main, ["estimate", "--channel", "flip_bsc",
+                                      "--distortion", str(path)])
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output)
+        assert data["estimator"] == estimator
+        assert data["oracle_max_diff"] <= 1e-12
+
+    def test_inline_distortion(self, runner, tmp_path):
+        spec = channel_to_dict(flip_bsc())
+        spec["distortion"] = [[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]]
+        path = tmp_path / "ch.json"
+        path.write_text(json.dumps(spec))
+        inline = runner.invoke(main, ["estimate", "--channel", str(path)])
+        assert inline.exit_code == 0
+        assert json.loads(inline.output)["estimator"] == [[2, 1], [1, 2]]
+        # --distortion hamming overrides the channel file's own matrix
+        args = ["--distortion", "hamming", "-D", "0.45"]
+        overridden = runner.invoke(main, ["estimate", "--channel", str(path)] + args)
+        fixture = runner.invoke(main, ["estimate", "--channel", "flip_bsc"] + args)
+        assert overridden.exit_code == fixture.exit_code == 0
+        assert overridden.stdout_bytes == fixture.stdout_bytes
+
     def test_single_state_zero_profile(self, runner, tmp_path):
         spec = {"input_size": 1, "output_size": 2, "state_size": 1,
                 "state_prior": [1.0], "kernel": [[[0.3, 0.7]]]}

@@ -160,6 +160,10 @@ class TestTransmissionCode:
         with pytest.raises(ZeroCapacityChannel):
             build_transmission_code(noiseless_binary(), 2, 2, {0}, rng)
 
+    def test_empty_support(self):
+        with pytest.raises(ZeroCapacityChannel, match="zero Shannon capacity"):
+            build_transmission_code(noiseless_binary(), 2, 2, set(), np.random.default_rng(5))
+
     def test_degenerate_message_count(self):
         with pytest.raises(DegenerateCode):
             build_transmission_code(noiseless_binary(), 2, 1, {0, 1},
@@ -260,6 +264,15 @@ class TestBuildIDCode:
         with pytest.raises(ZeroCapacityChannel):
             build_id_code(ch, ham2, 0.3, n=4, identities=4, colors=2,
                           eps=0.3, mode="det", master_seed=0)
+
+    # every restart draws a codebook at maximal error 0.5, and no single swap
+    # from the best one, ((1, 0), (0, 1)), lowers it: only the descent from a
+    # later restart reaches {(0, 0), (1, 1)}
+    @pytest.mark.parametrize("master_seed", [727, 1141744530])
+    def test_descent_from_later_restart(self, sensor, ham2, master_seed):
+        code = build_id_code(sensor, ham2, 0.5, 4, 4, 2, 0.3, "det", master_seed)
+        assert set(code.inner.codewords) == {(0, 0), (1, 1)}
+        assert code.inner.max_error == pytest.approx(0.25, abs=1e-12)
 
     def test_feasible_symbols_only(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,

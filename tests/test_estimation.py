@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idsense.capacity import _constrained_vertices
+from idsense.capacity import _constrained_vertices, det_capacity_distortion
 from idsense.channel import StateDMC
-from idsense.errors import LengthMismatch, NegativeDistortion, NotADistribution
+from idsense.coding import build_id_code
+from idsense.errors import (
+    DimensionMismatch,
+    LengthMismatch,
+    NegativeDistortion,
+    NotADistribution,
+)
 from idsense.estimation import (
     DistortionMatrix,
     _check_distribution,
@@ -17,6 +23,7 @@ from idsense.estimation import (
     distortion_profile,
     posterior_cost,
 )
+from idsense.sim import brute_force_estimator_distortion
 from tests.conftest import random_channel
 from tests.reference import posterior_state
 
@@ -29,6 +36,30 @@ class TestDistortionMatrix:
     def test_negative_rejected(self):
         with pytest.raises(NegativeDistortion):
             DistortionMatrix(d=np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
+class TestDistortionFit:
+    """A distortion matrix needs one row per state and at least one column."""
+
+    @pytest.mark.parametrize("d", [[[0.0, 1.0]], (1.0 - np.eye(3)).tolist(), np.zeros((2, 0))],
+                             ids=["one-row", "three-rows", "no-column"])
+    def test_refused(self, flip, d):
+        dist = DistortionMatrix(d=np.array(d))
+        for use in (posterior_cost, optimal_estimator, distortion_profile,
+                    brute_force_estimator_distortion,
+                    lambda ch, dist: det_capacity_distortion(ch, dist, 0.5),
+                    lambda ch, dist: build_id_code(ch, dist, 0.5, 4, 4, 2, 0.3, "det", 0)):
+            with pytest.raises(DimensionMismatch, match="the 2 states"):
+                use(flip, dist)
+
+    def test_more_reconstructions_than_states(self, flip):
+        # a third reconstruction costs 0.3 in either state; it wins when y = x
+        # (probability 0.9), where the state's posterior is about even, and
+        # state 1 (cost 0.25) wins when y != x: 0.9 * 0.3 + 0.1 * 0.25
+        dist = DistortionMatrix(d=np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]]))
+        assert optimal_estimator(flip, dist).h.tolist() == [[2, 1], [1, 2]]
+        assert np.allclose(distortion_profile(flip, dist).per_input, [0.295, 0.295],
+                           rtol=0.0, atol=1e-12)
 
 
 class TestPosterior:

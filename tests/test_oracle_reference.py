@@ -19,6 +19,7 @@ from idsense.coding import ML_TIE_TOL, build_id_code
 from idsense.errors import DegenerateCode, InfeasibleDistortion, TooLargeToEnumerate
 from idsense.estimation import (
     FEASIBILITY_TOL,
+    DistortionMatrix,
     EstimatorTable,
     distortion_profile,
     hamming_distortion,
@@ -108,7 +109,7 @@ def reference_grid(ch, dist=None, budget=None, resolution=200):
         profile = distortion_profile(ch, dist).per_input
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
         if grid.size == 0:
-            raise InfeasibleDistortion(budget)
+            raise InfeasibleDistortion(budget, float(profile.min()))
     mix = grid @ rows
     with np.errstate(divide="ignore", invalid="ignore"):
         logmix = np.where(mix > 0, np.log2(np.maximum(mix, 1e-300)), 0.0)
@@ -116,10 +117,10 @@ def reference_grid(ch, dist=None, budget=None, resolution=200):
 
 
 def reference_brute_force(ch, dist):
-    nx, ny, ns = ch.input_size, ch.output_size, ch.state_size
+    nx, ny, reconstructions = ch.input_size, ch.output_size, dist.d.shape[1]
     cost = posterior_cost(ch, dist)
     best_total = best_table = best_per_input = None
-    for flat in product(range(ns), repeat=nx * ny):
+    for flat in product(range(reconstructions), repeat=nx * ny):
         table = np.asarray(flat, dtype=np.int64).reshape(nx, ny)
         per_input = np.take_along_axis(cost, table[:, :, None], axis=2)[:, :, 0].sum(axis=1)
         total = per_input.mean()
@@ -346,6 +347,17 @@ class TestBruteForceEstimator:
             ref_per_input, ref_table = reference_brute_force(ch, ham2)
             assert per_input.tolist() == ref_per_input.tolist()
             assert np.array_equal(table.h, ref_table.h)
+
+    # the tables range over the distortion matrix's columns, not over the states
+    @pytest.mark.parametrize("d", [[[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]], [[0.0], [1.0]]])
+    def test_reconstructions_other_than_states(self, flip, d):
+        dist = DistortionMatrix(np.array(d))
+        per_input, table = brute_force_estimator_distortion(flip, dist)
+        ref_per_input, ref_table = reference_brute_force(flip, dist)
+        assert per_input.tolist() == ref_per_input.tolist()
+        assert np.array_equal(table.h, ref_table.h)
+        assert np.allclose(per_input, distortion_profile(flip, dist).per_input,
+                           rtol=0.0, atol=1e-12)
 
 
 class TestChunkBoundaries:
