@@ -110,10 +110,11 @@ def sample_rows(cum_rows: np.ndarray, u: np.ndarray, index=None) -> np.ndarray:
     broadcasts against u; with `index`, cum_rows is a flat (R, Y) table and
     u[...] draws from row index[...].  A draw counts the entries of its row
     at or below u, one column at a time, which is
-    searchsorted(row, u, side="right").
+    searchsorted(row, u, side="right").  The last column, pinned to 1.0,
+    is above every u, so it is compared only when it is the only one.
     """
     columns = (cum_rows[..., j] if index is None else cum_rows[:, j].take(index)
-               for j in range(cum_rows.shape[-1]))
+               for j in range(max(cum_rows.shape[-1] - 1, 1)))
     draws = (u >= next(columns)).astype(np.int64)
     for column in columns:
         draws += u >= column

@@ -186,7 +186,7 @@ def _loglik(table: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """
     loglik = np.zeros((table.shape[0], tails.shape[0]))
     for t in range(tails.shape[1]):
-        loglik += table[:, t, tails[:, t]]
+        loglik += table[:, t].take(tails[:, t], axis=1)
     return loglik
 
 
@@ -273,9 +273,11 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     if M < 2:
         raise DegenerateCode("an inner code needs at least 2 messages")
     support = sorted(set(int(x) for x in feasible))
-    shannon = _shannon(ch.rows[support]) if len(support) > 1 else None
-    if shannon is None or shannon.value <= ZERO_CAPACITY_TOL:
-        raise ZeroCapacityChannel("averaged channel has zero Shannon capacity")
+    if len(support) < 2:
+        raise ZeroCapacityChannel("zero Shannon capacity: fewer than two feasible inputs")
+    shannon = _shannon(ch.rows[support])
+    if shannon.value <= ZERO_CAPACITY_TOL:
+        raise ZeroCapacityChannel("the feasible inputs' channel has zero Shannon capacity")
     p_opt = shannon.maximizer.p
     p_opt = np.where(p_opt < SUPPORT_TOL, 0.0, p_opt)
     p_opt /= p_opt.sum()

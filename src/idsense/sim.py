@@ -141,10 +141,29 @@ def _block_keys(blocks: np.ndarray, size: int) -> np.ndarray:
 
 
 def _distinct_blocks(blocks: np.ndarray, size: int):
-    """(sorted distinct keys, the first row of each, the key index of every row)."""
-    keys, first, inverse = np.unique(_block_keys(blocks, size),
-                                     return_index=True, return_inverse=True)
-    return keys, blocks[first], inverse
+    """(sorted distinct keys, a row of each, the key index of every row).
+
+    Rows with equal keys are equal, so any row of a key serves.  When the
+    size^n keys are no more than the rows, a dense table indexed by key
+    finds them without `np.unique`'s sort.
+    """
+    block_keys = _block_keys(blocks, size)
+    if size ** blocks.shape[1] > blocks.shape[0]:
+        keys, first, inverse = np.unique(block_keys, return_index=True,
+                                         return_inverse=True)
+        return keys, blocks[first], inverse
+    row_of = np.full(size ** blocks.shape[1], -1)
+    row_of[block_keys] = np.arange(blocks.shape[0])
+    keys = np.flatnonzero(row_of >= 0)
+    rank = np.empty_like(row_of)
+    rank[keys] = np.arange(keys.size)
+    return keys, blocks[row_of[keys]], rank[block_keys]
+
+
+def _decode_tails(log_table: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """`_ml_decode`'s message index of every tail, each distinct tail scored once."""
+    _, rows, inverse = _distinct_blocks(tails, log_table.shape[2])
+    return _ml_decode(log_table, rows)[0].take(inverse)
 
 
 def _colors_for(code: IDFeedbackCode, identity: int, keys: np.ndarray,
@@ -225,7 +244,7 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
     tail_rows = codewords[sent_colors - 1] * state_size + states[:, n:]
     y_tail = sample_rows(cum_kernel, rng.random((trials, k)), tail_rows)
     dvals[:, n:] = fused.take(tail_rows * output_size + y_tail)
-    decoded = _ml_decode(code.inner.log_table, y_tail)[0] + 1
+    decoded = _decode_tails(code.inner.log_table, y_tail) + 1
 
     accept = typical & (decoded == tested_colors)
     return accept, dvals

@@ -249,6 +249,23 @@ class TestSearchsortedReference:
             assert np.array_equal(draws, searchsorted_draw(rows[0], u))
             assert not draws.any()
 
+    def test_trailing_zero_outputs(self):
+        # rows whose last outputs have probability 0 and whose cumulative sum
+        # rounds below 1.0 before the pinned last column: every uniform at or
+        # above that sum draws past the last positive output, as searchsorted did
+        rows = np.array([[0.6, 0.3, 0.1, 0.0, 0.0], [0.2, 0.7, 0.1, 0.0, 0.0]])
+        cum = cumulative(rows)
+        assert (cum[:, -2] < 1.0).all() and (cum[:, -1] == 1.0).all()
+        rng = np.random.default_rng(0)
+        edges = cum[cum < 1.0]
+        u = np.concatenate([rng.random(200), edges, np.nextafter(edges, 0),
+                            [0.0, np.nextafter(1.0, 0)]])
+        for r, row in enumerate(rows):
+            assert np.array_equal(sample_rows(cum[r], u), searchsorted_draw(row, u))
+        index = rng.integers(0, 2, u.shape)
+        assert np.array_equal(sample_rows(cum, u, index),
+                              [searchsorted_draw(rows[i], v) for i, v in zip(index, u)])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_transmit_and_states(self, seed):
         rng = np.random.default_rng(seed)

@@ -423,7 +423,7 @@ class TestSimulateCommand:
     def test_restricted_zero_capacity_exit_3(self, runner, tmp_path):
         result = self.run_on(runner, tmp_path, budget_hides_the_useful_input(), "-D", "0.3")
         assert result.exit_code == 3
-        assert "error: averaged channel has zero Shannon capacity" in result.output
+        assert "error: the feasible inputs' channel has zero Shannon capacity" in result.output
         assert "Traceback" not in result.output
 
     def test_negative_eps_exit_2(self, runner):

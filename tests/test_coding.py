@@ -157,7 +157,7 @@ class TestTransmissionCode:
 
     def test_single_feasible_input(self):
         rng = np.random.default_rng(5)
-        with pytest.raises(ZeroCapacityChannel):
+        with pytest.raises(ZeroCapacityChannel, match="fewer than two feasible inputs"):
             build_transmission_code(noiseless_binary(), 2, 2, {0}, rng)
 
     def test_empty_support(self):

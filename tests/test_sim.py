@@ -4,20 +4,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idsense import fixtures
 from idsense.channel import StateDMC
-from idsense.coding import IDFeedbackCode, build_id_code, coloring_values
+from idsense.coding import IDFeedbackCode, _log_table, _ml_decode, build_id_code, \
+    coloring_values
 from idsense.errors import AlphabetTooLarge, TooLargeToEnumerate
 from idsense.estimation import DistortionMatrix, distortion_profile, hamming_distortion
 from idsense.capacity import det_feedback_capacity, rand_capacity_distortion
 from idsense.sim import (
+    _block_keys,
+    _decode_tails,
+    _distinct_blocks,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     grid_capacity_oracle,
     monte_carlo,
     run_trial,
 )
+from idsense.typicality import enumerate_blocks
 from tests.conftest import random_channel
 
 
@@ -311,3 +318,71 @@ class TestGridOracle:
         grid = grid_capacity_oracle(sensor, ham2, budget=0.3, resolution=400)
         solver = rand_capacity_distortion(sensor, ham2, 0.3).value
         assert abs(grid - solver) <= 1e-4
+
+
+def unique_distinct(blocks, size):
+    """What `_distinct_blocks` returned before its dense key table: `np.unique`'s sort."""
+    keys, first, inverse = np.unique(_block_keys(blocks, size), return_index=True,
+                                     return_inverse=True)
+    return keys, blocks[first], inverse
+
+
+def assert_same_distinct(blocks, size):
+    keys, rows, inverse = _distinct_blocks(blocks, size)
+    ref_keys, ref_rows, ref_inverse = unique_distinct(blocks, size)
+    assert keys.dtype == ref_keys.dtype and keys.tobytes() == ref_keys.tobytes()
+    assert rows.dtype == blocks.dtype and np.array_equal(rows, ref_rows)
+    assert inverse.dtype == ref_inverse.dtype and np.array_equal(inverse, ref_inverse)
+
+
+class TestDistinctBlocks:
+    """The dense key table (|Y|^n <= rows) and the sort return the same sorted keys,
+    rows and inverse as `np.unique`; rows of equal keys are equal, so any serves."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(size=st.sampled_from([2, 3, 5]), n=st.integers(1, 5), data=st.data())
+    def test_small_spaces(self, size, n, data):
+        space = size ** n
+        # a single row, below, at and above the key space, and far above it
+        count = data.draw(st.sampled_from([1, space - 1, space, space + 1, 3 * space]))
+        pool = data.draw(st.integers(1, space))
+        dtype = data.draw(st.sampled_from([np.uint8, np.int64]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = rng.integers(0, size, (pool, n))
+        assert_same_distinct(rows[rng.integers(0, pool, count)].astype(dtype), size)
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.sampled_from([(2, 62), (2, 63), (2, 70), (3, 39), (3, 40), (5, 27),
+                                  (5, 28)]),
+           count=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_wide_blocks(self, shape, count, seed):
+        # byte keys once |Y|^n >= 2^63, integer keys just below it
+        size, n = shape
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, size, (max(count // 3, 1), n))
+        assert_same_distinct(rows[rng.integers(0, len(rows), count)].astype(np.uint8), size)
+
+
+class TestDecodeTails:
+    """Scoring each distinct tail once decides every tail as `_ml_decode` does."""
+
+    @pytest.mark.parametrize("n", [16, 49, 81, 144])
+    def test_flip_tied_tails(self, flip, ham2, n):
+        # TestMLTieRule's builds, whose tails tie at the minimum Hamming distance
+        table = build_id_code(flip, ham2, 1.0, n, 2 ** 8, 5, 0.1, "det", 1).inner.log_table
+        tails = enumerate_blocks(2, table.shape[1])
+        rng = np.random.default_rng(n)
+        for count in (len(tails) // 3, len(tails), 3 * len(tails)):
+            sample = np.concatenate([tails, tails[rng.integers(0, len(tails), count)]])
+            for rows in (sample, sample[:count]):
+                assert np.array_equal(_decode_tails(table, rows), _ml_decode(table, rows)[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_three_outputs(self, seed):
+        rng = np.random.default_rng(seed)
+        ch = random_channel(rng, 3, 3, 2)
+        for k in (1, 3, 5):
+            table = _log_table(ch.rows, rng.integers(0, 3, (4, k)))
+            for count in (2, 3 ** k, 4 * 3 ** k):
+                tails = rng.integers(0, 3, (count, k))
+                assert np.array_equal(_decode_tails(table, tails), _ml_decode(table, tails)[0])
