@@ -46,9 +46,6 @@ from .coding import (
     build_transmission_code,
     coloring_value,
     coloring_values,
-    encode_step,
-    feedback_update,
-    initial_state,
     verify,
 )
 from .sim import (

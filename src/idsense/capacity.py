@@ -27,10 +27,9 @@ from .errors import (
     InfeasibleDistortion,
     InvalidParameter,
     NoConvergence,
-    NotADistribution,
     ZeroCapacityChannel,
 )
-from .estimation import DistortionMatrix, _feasible_inputs
+from .estimation import DistortionMatrix, _check_distribution, _feasible_inputs
 
 LOG2E = 1.0 / math.log(2.0)
 DEFAULT_TOL = 1e-9
@@ -49,11 +48,7 @@ class InputDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1:
-            raise NotADistribution("input distribution must be a vector")
-        if (p < -1e-9).any() or (p > 1 + 1e-9).any() or abs(p.sum() - 1.0) > 1e-9:
-            raise NotADistribution("vector is not on the probability simplex")
+        p = _check_distribution(self.p)
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
 
@@ -68,9 +63,7 @@ class CapacityResult:
 
 def entropy(q) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    q = np.asarray(q, dtype=float)
-    if (q < -1e-9).any() or abs(q.sum() - 1.0) > 1e-9:
-        raise NotADistribution("vector is not on the probability simplex")
+    q = _check_distribution(q)
     pos = q[q > 0]
     return float(-(pos * np.log2(pos)).sum())
 

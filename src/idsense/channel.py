@@ -97,8 +97,16 @@ def validate_channel(raw_kernel, raw_prior) -> StateDMC:
 
 
 def cumulative(p: np.ndarray) -> np.ndarray:
-    """Cumulative sums along the last axis, the last pinned to 1.0 for sampling."""
+    """Cumulative sums along the last axis, for `sample_rows`.
+
+    Every column from a row's last positive entry on is pinned to 1.0, so
+    a running sum that rounds below 1.0 never lets a draw land on the
+    zero-probability outputs after that entry.
+    """
+    p = np.asarray(p)
     cum = np.cumsum(p, axis=-1)
+    positive_later = np.logical_or.accumulate(p[..., :0:-1] > 0, axis=-1)[..., ::-1]
+    cum[..., :-1][~positive_later] = 1.0
     cum[..., -1] = 1.0
     return cum
 
@@ -110,8 +118,9 @@ def sample_rows(cum_rows: np.ndarray, u: np.ndarray, index=None) -> np.ndarray:
     broadcasts against u; with `index`, cum_rows is a flat (R, Y) table and
     u[...] draws from row index[...].  A draw counts the entries of its row
     at or below u, one column at a time, which is
-    searchsorted(row, u, side="right").  The last column, pinned to 1.0,
-    is above every u, so it is compared only when it is the only one.
+    searchsorted(row, u, side="right") over the row up to its last positive
+    output.  Columns pinned to 1.0 are above every u, so a draw never passes
+    that output; the last column is compared only when it is the only one.
     """
     columns = (cum_rows[..., j] if index is None else cum_rows[:, j].take(index)
                for j in range(max(cum_rows.shape[-1] - 1, 1)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +28,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidParameter,
     LengthMismatch,
-    OutOfTime,
     TooManyMessages,
     ZeroCapacityChannel,
 )
@@ -282,7 +281,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     p_opt = np.where(p_opt < SUPPORT_TOL, 0.0, p_opt)
     p_opt /= p_opt.sum()
     active = [support[i] for i in np.flatnonzero(p_opt)]
-    weights = p_opt[p_opt > 0]
+    cum_weights = cumulative(p_opt[p_opt > 0])
     distinct_available = len(active) ** k
     exact = ch.output_size ** k <= EXACT_ERROR_GUARD
 
@@ -292,8 +291,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
         seen = set()
         for _j in range(M):
             for _try in range(200):
-                cw = tuple(int(active[i]) for i in
-                           rng.choice(len(active), size=k, p=weights))
+                cw = tuple(active[i] for i in sample_rows(cum_weights, rng.random(k)))
                 if cw not in seen or len(seen) >= distinct_available:
                     break
             codewords.append(cw)
@@ -386,6 +384,23 @@ class IDFeedbackCode:
         counts = np.bincount(y_pilot, minlength=self.pilot_row.size)
         return bool(counts_typical(counts, self.pilot_row, self.eps))
 
+    def pilot_input(self, rng: np.random.Generator) -> int:
+        """The next pilot symbol: the constant one (det, draws nothing) or
+        one draw from the pilot law (rand)."""
+        if self.mode == "det":
+            return int(self.pilot)
+        return int(sample_rows(cumulative(self.pilot.p), rng.random(1))[0])
+
+    def commit(self, identity: int, y_pilot) -> int:
+        """The inner message sent after the fed-back pilot block: its color
+        if the block is typical, else ABORT_COLOR."""
+        self._require_identity(identity)
+        if len(y_pilot) != self.n:
+            raise LengthMismatch(f"pilot feedback must have length {self.n}")
+        if self.pilot_typical(y_pilot):
+            return self.coloring(identity, y_pilot)
+        return ABORT_COLOR
+
     def to_dict(self) -> dict:
         pilot = (int(self.pilot) if self.mode == "det"
                  else self.pilot.p.tolist())
@@ -398,58 +413,6 @@ class IDFeedbackCode:
             "inner_max_error": self.inner.max_error,
             "inner_error_method": self.inner.error_method,
         }
-
-
-@dataclass(frozen=True)
-class EncoderState:
-    """Single-owner state of one encoding pass."""
-
-    identity: int
-    pilot_len: int
-    total_len: int
-    t: int = 1                              # next time index, 1-based
-    y_pilot: tuple[int, ...] = ()
-    committed: int | None = None            # inner message, set at t = n+1
-    aborted: bool = False
-
-
-def initial_state(code: IDFeedbackCode, identity: int) -> EncoderState:
-    if not 1 <= identity <= code.identity_count:
-        raise DegenerateCode(f"identity {identity} out of range")
-    return EncoderState(identity=identity, pilot_len=code.n, total_len=code.m)
-
-
-def encode_step(code: IDFeedbackCode, state: EncoderState,
-                rng: np.random.Generator) -> tuple[int, EncoderState]:
-    """Emit the next input symbol and advance the encoder clock."""
-    t = state.t
-    if t > state.total_len:
-        raise OutOfTime(f"encoder already emitted all {state.total_len} symbols")
-    if t <= state.pilot_len:
-        if code.mode == "det":
-            x = int(code.pilot)
-        else:
-            x = int(sample_rows(cumulative(code.pilot.p), rng.random(1))[0])
-        return x, replace(state, t=t + 1)
-    if state.committed is None:
-        if len(state.y_pilot) != state.pilot_len:
-            raise LengthMismatch("pilot feedback incomplete at commit time")
-        if code.pilot_typical(state.y_pilot):
-            j = code.coloring(state.identity, state.y_pilot)
-            aborted = False
-        else:
-            j = ABORT_COLOR
-            aborted = True
-        state = replace(state, committed=j, aborted=aborted)
-    x = code.inner.codewords[state.committed - 1][t - state.pilot_len - 1]
-    return int(x), replace(state, t=t + 1)
-
-
-def feedback_update(state: EncoderState, y_t: int) -> EncoderState:
-    """Record one fed-back output; only the pilot block is retained."""
-    if len(state.y_pilot) < state.pilot_len:
-        return replace(state, y_pilot=state.y_pilot + (int(y_t),))
-    return state
 
 
 def verify(code: IDFeedbackCode, claimed_identity: int, y_full) -> bool:

@@ -71,9 +71,5 @@ class DegenerateCode(IdsenseError):
     pass
 
 
-class OutOfTime(IdsenseError):
-    pass
-
-
 class AlphabetTooLarge(IdsenseError):
     pass

@@ -71,11 +71,17 @@ class DistortionProfile:
         object.__setattr__(self, "per_input", v)
 
 
-def _check_distribution(p, size: int) -> np.ndarray:
+def _check_distribution(p, size: int | None = None) -> np.ndarray:
+    """p as a float vector on the probability simplex, the one such check.
+
+    A 1-D vector (of `size` entries, if given) with entries in
+    [-SIMPLEX_TOL, 1 + SIMPLEX_TOL] whose sum is within SIMPLEX_TOL of 1.
+    """
     p = np.asarray(p, dtype=float)
-    if p.shape != (size,):
-        raise NotADistribution(f"distribution has shape {p.shape}, expected ({size},)")
-    if (p < -SIMPLEX_TOL).any() or abs(p.sum() - 1.0) > SIMPLEX_TOL:
+    if p.ndim != 1 or size is not None and p.shape != (size,):
+        expected = "(n,)" if size is None else f"({size},)"
+        raise NotADistribution(f"distribution has shape {p.shape}, expected {expected}")
+    if (p < -SIMPLEX_TOL).any() or (p > 1 + SIMPLEX_TOL).any() or abs(p.sum() - 1.0) > SIMPLEX_TOL:
         raise NotADistribution("vector is not on the probability simplex")
     return p
 

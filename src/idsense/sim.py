@@ -15,8 +15,7 @@ import numpy as np
 
 from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
-from .coding import ABORT_COLOR, IDFeedbackCode, _ml_decode, confusion_matrix, encode_step, \
-    feedback_update, initial_state, verify
+from .coding import ABORT_COLOR, IDFeedbackCode, _ml_decode, confusion_matrix, verify
 from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter
 from .estimation import (
     FEASIBILITY_TOL,
@@ -99,25 +98,28 @@ def _rate_stderr(p: float, trials: int) -> float:
 def run_trial(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
               identity: int, tested_identity: int,
               rng: np.random.Generator) -> TrialOutcome:
-    """Simulate the full m-step closed loop for one (sent, tested) pair."""
+    """Simulate the full m-step closed loop for one (sent, tested) pair.
+
+    The generator draws the m states, then each pilot symbol and its output,
+    then each tail output after the sender commits on the fed-back pilot.
+    """
     table = optimal_estimator(ch, dist)
-    states = sample_state_sequence(ch, code.m, rng)
-    state = initial_state(code, identity)
+    states = [int(s) for s in sample_state_sequence(ch, code.m, rng)]
     xs, ys = [], []
-    for t in range(code.m):
-        x, state = encode_step(code, state, rng)
-        y = transmit(ch, x, int(states[t]), rng)
-        state = feedback_update(state, y)
+    for t in range(code.n):
+        xs.append(code.pilot_input(rng))
+        ys.append(transmit(ch, xs[t], states[t], rng))
+    codeword = code.inner.codewords[code.commit(identity, ys) - 1]
+    for t, x in enumerate(codeword, start=code.n):
         xs.append(x)
-        ys.append(y)
+        ys.append(transmit(ch, x, states[t], rng))
     s_hat = estimate_sequence(table, xs, ys)
-    dvals = tuple(float(dist.d[int(states[t]), int(s_hat[t])])
-                  for t in range(code.m))
+    dvals = tuple(float(dist.d[states[t], int(s_hat[t])]) for t in range(code.m))
     accepted = verify(code, tested_identity, ys)
     return TrialOutcome(sent_identity=identity, tested_identity=tested_identity,
-                        accepted=accepted, pilot_typical=not state.aborted,
+                        accepted=accepted, pilot_typical=code.pilot_typical(ys[:code.n]),
                         distortions=dvals, x_seq=tuple(xs),
-                        s_seq=tuple(int(s) for s in states), y_seq=tuple(ys))
+                        s_seq=tuple(states), y_seq=tuple(ys))
 
 
 # --- vectorized pair simulation ----------------------------------------------

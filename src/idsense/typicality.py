@@ -60,7 +60,10 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
         raise InvalidParameter("eps must be > 0")
     rows = ch.rows
     if np.isscalar(pilot) or isinstance(pilot, (int, np.integer)):
-        h = entropy(rows[int(pilot)])
+        x = int(pilot)
+        if not 0 <= x < ch.input_size:
+            raise IndexOutOfRange(f"input symbol {x} out of range 0..{ch.input_size - 1}")
+        h = entropy(rows[x])
     else:
         p = getattr(pilot, "p", pilot)
         p = _check_distribution(p, ch.input_size)

@@ -73,8 +73,10 @@ class TestEntropy:
         assert entropy([0.9, 0.1]) == pytest.approx(0.468996, abs=1e-6)
 
     def test_not_a_distribution(self):
-        with pytest.raises(NotADistribution):
-            entropy([0.5, 0.6])
+        # the 2-D one summed to 1 over all its entries and returned 1.0
+        for q in ([0.5, 0.6], [[0.5, 0.5], [0.0, 0.0]]):
+            with pytest.raises(NotADistribution):
+                entropy(q)
 
 
 class TestShannon:

@@ -18,7 +18,7 @@ from idsense.channel import (
     transmit,
     validate_channel,
 )
-from idsense.coding import _log_table, _loglik, build_id_code, encode_step, initial_state
+from idsense.coding import _log_table, _loglik, build_id_code
 from idsense.errors import DimensionMismatch, IndexOutOfRange, RowNotNormalized
 from tests.conftest import random_channel
 
@@ -178,8 +178,12 @@ class TestSerialization:
 
 
 def searchsorted_draw(p, u):
-    """The draw `sample_rows` replaced in transmit, the state sampler and the rand pilot."""
-    return np.searchsorted(cumulative(p), u, side="right")
+    """The draw `sample_rows` replaced in transmit, the state sampler and the rand pilot,
+    over the row with its zero tail removed and its last positive entry pinned to 1.0."""
+    p = np.asarray(p)
+    cum = np.cumsum(p[:np.flatnonzero(p > 0)[-1] + 1])
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
 
 
 def edge_uniforms(rng, cum):
@@ -250,18 +254,22 @@ class TestSearchsortedReference:
             assert not draws.any()
 
     def test_trailing_zero_outputs(self):
-        # rows whose last outputs have probability 0 and whose cumulative sum
-        # rounds below 1.0 before the pinned last column: every uniform at or
-        # above that sum draws past the last positive output, as searchsorted did
+        # rows whose last outputs have probability 0 and whose running sum
+        # rounds below 1.0: the columns from the last positive output on are
+        # pinned, so no uniform draws past that output (u = 1 - 2^-53 once
+        # drew output 4 of the first row)
         rows = np.array([[0.6, 0.3, 0.1, 0.0, 0.0], [0.2, 0.7, 0.1, 0.0, 0.0]])
+        assert (np.cumsum(rows, axis=1)[:, -1] < 1.0).all()
         cum = cumulative(rows)
-        assert (cum[:, -2] < 1.0).all() and (cum[:, -1] == 1.0).all()
+        assert (cum[:, 2:] == 1.0).all()
         rng = np.random.default_rng(0)
         edges = cum[cum < 1.0]
         u = np.concatenate([rng.random(200), edges, np.nextafter(edges, 0),
                             [0.0, np.nextafter(1.0, 0)]])
         for r, row in enumerate(rows):
-            assert np.array_equal(sample_rows(cum[r], u), searchsorted_draw(row, u))
+            draws = sample_rows(cum[r], u)
+            assert np.array_equal(draws, searchsorted_draw(row, u))
+            assert draws.max() == 2
         index = rng.integers(0, 2, u.shape)
         assert np.array_equal(sample_rows(cum, u, index),
                               [searchsorted_draw(rows[i], v) for i, v in zip(index, u)])
@@ -285,8 +293,6 @@ class TestSearchsortedReference:
                              mode="rand", master_seed=seed)
         # the pilot law only drives the draw; sparse over 6 symbols here
         code = dataclasses.replace(code, pilot=InputDistribution(sparse_rows(rng, (6,))))
-        state = initial_state(code, 1)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(code.n):
-            x, state = encode_step(code, state, ours)
-            assert x == searchsorted_draw(code.pilot.p, ref.random())
+            assert code.pilot_input(ours) == searchsorted_draw(code.pilot.p, ref.random())

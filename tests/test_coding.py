@@ -15,16 +15,13 @@ from idsense.coding import (
     build_transmission_code,
     coloring_value,
     coloring_values,
-    encode_step,
-    feedback_update,
-    initial_state,
     verify,
 )
 from idsense.errors import (
     DegenerateCode,
     IndexOutOfRange,
     InfeasibleDistortion,
-    OutOfTime,
+    LengthMismatch,
     TooManyMessages,
     ZeroCapacityChannel,
 )
@@ -288,56 +285,30 @@ class TestEncoderDecoder:
 
     def test_det_pilot_constant(self, flip, ham2):
         code = self._code(flip, ham2)
-        state = initial_state(code, 1)
         rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
         for _ in range(code.n):
-            x, state = encode_step(code, state, rng)
-            assert x == int(code.pilot)
-            state = feedback_update(state, 0)
+            assert code.pilot_input(rng) == int(code.pilot)
+        assert rng.bit_generator.state == before    # the det pilot draws nothing
 
     def test_typical_pilot_commits_coloring(self, flip, ham2):
         code = self._code(flip, ham2)
-        state = initial_state(code, 2)
-        rng = np.random.default_rng(0)
         history = (0, 0, 0, 1)  # frequency (0.75, 0.25): within eps=0.3 of (0.9, 0.1)
-        for y in history:
-            _, state = encode_step(code, state, rng)
-            state = feedback_update(state, y)
-        x, state = encode_step(code, state, rng)
-        j = code.coloring(2, history)
-        assert not state.aborted
-        assert state.committed == j
-        assert x == code.inner.codewords[j - 1][0]
+        assert code.pilot_typical(history)
+        assert code.commit(2, history) == code.coloring(2, history)
 
     def test_atypical_pilot_aborts(self, flip, ham2):
         code = self._code(flip, ham2)
-        state = initial_state(code, 2)
-        rng = np.random.default_rng(0)
-        for y in (1, 1, 1, 1):  # frequency (0, 1): far from (0.9, 0.1)
-            _, state = encode_step(code, state, rng)
-            state = feedback_update(state, y)
-        _, state = encode_step(code, state, rng)
-        assert state.aborted
-        assert state.committed == ABORT_COLOR
+        history = (1, 1, 1, 1)  # frequency (0, 1): far from (0.9, 0.1)
+        assert not code.pilot_typical(history)
+        assert code.commit(2, history) == ABORT_COLOR
 
-    def test_out_of_time(self, flip, ham2):
+    # the sender commits only on a whole pilot block of n outputs
+    @pytest.mark.parametrize("y_pilot", [(), (0, 0, 0), (0, 0, 0, 0, 0)])
+    def test_commit_pilot_length(self, flip, ham2, y_pilot):
         code = self._code(flip, ham2)
-        state = initial_state(code, 1)
-        rng = np.random.default_rng(0)
-        for t in range(code.m):
-            _, state = encode_step(code, state, rng)
-            state = feedback_update(state, 0)
-        with pytest.raises(OutOfTime):
-            encode_step(code, state, rng)
-
-    def test_feedback_retains_pilot_only(self, flip, ham2):
-        code = self._code(flip, ham2)
-        state = initial_state(code, 1)
-        rng = np.random.default_rng(0)
-        for _ in range(code.m):
-            _, state = encode_step(code, state, rng)
-            state = feedback_update(state, 0)
-        assert len(state.y_pilot) == code.n
+        with pytest.raises(LengthMismatch):
+            code.commit(1, y_pilot)
 
     def test_verify_accepts_own_identity(self, flip, ham2):
         code = self._code(flip, ham2)
@@ -356,8 +327,9 @@ class TestEncoderDecoder:
 
     def test_identity_out_of_range(self, flip, ham2):
         code = self._code(flip, ham2)
-        with pytest.raises(DegenerateCode):
-            initial_state(code, 9)
+        for identity in (0, 9):
+            with pytest.raises(DegenerateCode):
+                code.commit(identity, (0, 0, 0, 0))
 
     # a symbol outside 0..|Y|-1 in the pilot (negative, or past the alphabet)
     # or in the tail, where the bare errors came from np.bincount, a
@@ -381,6 +353,8 @@ class TestEncoderDecoder:
         code = self._code(flip, ham2)
         with pytest.raises(IndexOutOfRange):
             code.pilot_typical(y_pilot)
+        with pytest.raises(IndexOutOfRange):
+            code.commit(1, y_pilot)
 
     @pytest.mark.parametrize("y_tail", [[0, 7], [-1, 0]])
     def test_decode_symbol_out_of_range(self, flip, ham2, y_tail):

@@ -100,10 +100,10 @@ PUBLIC_SURFACE = [
     "build_id_code", "build_transmission_code", "capacity", "channel",
     "channel_from_dict", "channel_to_dict", "coding", "coloring_value",
     "coloring_values", "det_capacity_distortion", "det_feedback_capacity",
-    "distortion_profile", "encode_step", "entropy", "enumerate_typical_set", "errors",
+    "distortion_profile", "entropy", "enumerate_typical_set", "errors",
     "estimate_sequence", "estimation", "exact_error_probabilities", "feasible_inputs",
-    "feedback_update", "fixtures", "grid_capacity_oracle", "hamming_distortion",
-    "image_size_bound", "initial_state", "load_channel", "monte_carlo",
+    "fixtures", "grid_capacity_oracle", "hamming_distortion",
+    "image_size_bound", "load_channel", "monte_carlo",
     "optimal_estimator", "rand_capacity_distortion", "rand_feedback_capacity",
     "rate_of_code", "run_trial", "sample_state_sequence", "shannon_capacity_avg",
     "sim", "tradeoff_curve", "transmit", "typical_size_bounds", "typicality",

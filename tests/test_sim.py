@@ -68,6 +68,21 @@ class TestRunTrial:
             expected = code.coloring(1, pilot) == code.coloring(2, pilot)
             assert outcome.accepted == expected
 
+    # the scalar closed loop is the checked reference of the vectorized
+    # pairs: its acceptance rates match the exact oracle
+    @pytest.mark.parametrize("mode", ["det", "rand"])
+    def test_rates_match_exact_oracle(self, flip, ham2, mode):
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
+                             eps=0.3, mode=mode, master_seed=1)
+        exact = exact_error_probabilities(code, flip, [(1, 2)])
+        rng = np.random.default_rng(0)
+        trials = 2000
+        for pair, accept in (((1, 1), 1.0 - exact["lambda1"][1]),
+                             ((1, 2), exact["lambda2"][(1, 2)])):
+            rate = np.mean([run_trial(code, flip, ham2, *pair, rng).accepted
+                            for _ in range(trials)])
+            assert abs(rate - accept) <= 4 * np.sqrt(accept * (1.0 - accept) / trials)
+
 
 class TestMonteCarlo:
     def test_noiseless_collision_rate(self):

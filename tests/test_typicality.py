@@ -164,11 +164,14 @@ class TestEnumeration:
         with pytest.raises(TooLargeToEnumerate):
             enumerate_typical_set(flip, [0] * 25, 0.1)
 
-    # -1 used to wrap to the typical set of input 1, and 5 ended in a bare IndexError
+    # -1 used to wrap to the typical set (and the size exponents) of input 1,
+    # and 5 ended in a bare IndexError
     @pytest.mark.parametrize("x_seq", [[-1, -1], [5]])
     def test_input_symbol_out_of_range(self, flip, x_seq):
         with pytest.raises(IndexOutOfRange):
             enumerate_typical_set(flip, x_seq, 0.3)
+        with pytest.raises(IndexOutOfRange):
+            typical_size_bounds(flip, x_seq[0], 8, 0.1)
 
     def test_mass_exponent_positive(self, flip):
         # enumerated mass at n=12, eps=0.1 gives a positive decay exponent
