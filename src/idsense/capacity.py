@@ -23,7 +23,6 @@ import numpy as np
 
 from .channel import StateDMC
 from .errors import (
-    DegenerateCode,
     InfeasibleDistortion,
     InvalidParameter,
     NoConvergence,
@@ -368,7 +367,7 @@ def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
 def rate_of_code(num_identities: int, blocklength: int) -> float:
     """ID rate log2(log2 N) / m."""
     if num_identities < 2:
-        raise DegenerateCode(f"need at least 2 identities, got {num_identities}")
+        raise InvalidParameter(f"need at least 2 identities, got {num_identities}")
     if blocklength < 1:
-        raise DegenerateCode("blocklength must be >= 1")
+        raise InvalidParameter("blocklength must be >= 1")
     return math.log2(math.log2(num_identities)) / blocklength

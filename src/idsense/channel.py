@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    LengthMismatch,
     NegativeProbability,
     NotADistribution,
     RowNotNormalized,
@@ -130,6 +131,33 @@ def sample_rows(cum_rows: np.ndarray, u: np.ndarray, index=None) -> np.ndarray:
     return draws
 
 
+def _block(block, size: int, length: int | None = None, what: str = "output"):
+    """`block` once its symbols are integers in 0..size-1 and, if `length` is
+    given, its last axis holds exactly that many; the one check of symbols.
+
+    An integral float counts as its integer; anything else raises
+    IndexOutOfRange, a wrong length LengthMismatch.  An array is checked
+    whole, an integer one by its minimum and maximum in its own dtype, and
+    one of another dtype comes back as int64.  Any other sequence is checked
+    symbol by symbol, which is cheaper on a short tuple, and comes back as is.
+    """
+    if isinstance(block, np.ndarray):
+        if length is not None and block.shape[-1:] != (length,):
+            raise LengthMismatch(f"block has shape {block.shape}, expected {length} symbols")
+        if block.dtype.kind in "iu":
+            if not block.size or 0 <= block.min() and block.max() < size:
+                return block
+        elif ((block >= 0) & (block < size) & (block % 1 == 0)).all():
+            return block.astype(np.int64)
+        block = block.ravel().tolist()      # fails the loop below at its first bad symbol
+    elif length is not None and len(block) != length:
+        raise LengthMismatch(f"block has {len(block)} symbols, expected {length}")
+    for y in block:
+        if not 0 <= y < size or y % 1:
+            raise IndexOutOfRange(f"{what} symbol {y} is not an integer in 0..{size - 1}")
+    return block
+
+
 def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n i.i.d. states from the prior; deterministic given the rng state."""
     return sample_rows(cumulative(ch.state_prior), rng.random(n))
@@ -137,11 +165,9 @@ def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.
 
 def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:
     """Draw one output symbol from kernel[x][s][.]."""
-    if not 0 <= x < ch.input_size:
-        raise IndexOutOfRange(f"input symbol {x} out of range")
-    if not 0 <= s < ch.state_size:
-        raise IndexOutOfRange(f"state symbol {s} out of range")
-    return int(sample_rows(cumulative(ch.kernel[x, s]), rng.random(1))[0])
+    _block([x], ch.input_size, what="input")
+    _block([s], ch.state_size, what="state")
+    return int(sample_rows(cumulative(ch.kernel[int(x), int(s)]), rng.random(1))[0])
 
 
 # --- serialization -----------------------------------------------------------

@@ -8,8 +8,9 @@ A command body only computes; it returns a JSON report and, if the command
 has one, a CSV table.
 
 Every command is deterministic given (config, seed) and emits byte-identical
-artifacts on re-runs.  Exit codes: 0 success, 2 config or validation error
-(an unwritable `--out` too), 3 infeasible budget or zero-capacity channel,
+artifacts on re-runs.  Exit codes: 0 success, 1 `estimate`'s estimator
+disagrees with the exhaustive oracle, 2 config or validation error (an
+unwritable `--out` too), 3 infeasible budget or zero-capacity channel,
 4 oracle guard breach when an exact cross-check was demanded, 5 a solver
 that did not converge.
 """

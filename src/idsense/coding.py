@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import StateDMC, cumulative, sample_rows
+from .channel import StateDMC, _block, cumulative, sample_rows
 from .capacity import (
     ZERO_CAPACITY_TOL,
     InputDistribution,
@@ -23,16 +23,9 @@ from .capacity import (
     det_capacity_distortion,
     rand_capacity_distortion,
 )
-from .errors import (
-    DegenerateCode,
-    IndexOutOfRange,
-    InvalidParameter,
-    LengthMismatch,
-    TooManyMessages,
-    ZeroCapacityChannel,
-)
+from .errors import InvalidParameter, TooManyMessages, ZeroCapacityChannel, _integer
 from .estimation import DistortionMatrix, _feasible_inputs
-from .typicality import counts_typical, enumerate_blocks
+from .typicality import counts_typical, enumerate_blocks, symbol_counts
 
 EXACT_ERROR_GUARD = 4096      # enumerate Y^k exactly up to this many tails
 MC_ERROR_TRIALS = 2000
@@ -68,33 +61,26 @@ def _payload(y_pilot) -> bytes:
     A wide payload is longer than n bytes, so it never equals another
     block's payload of the same length n.
     """
-    if getattr(y_pilot, "dtype", None) == np.uint8:
-        return y_pilot.tobytes()
     symbols = [int(y) for y in y_pilot]
     if max(symbols, default=0) < 256:
         return bytes(symbols)
     return len(symbols).to_bytes(4, "big") + b"".join(y.to_bytes(8, "big") for y in symbols)
 
 
-def _require_symbols(block, size: int) -> None:
-    """Refuse a block with a symbol outside 0..size-1, by plain comparisons."""
-    for y in block:
-        if not 0 <= y < size:
-            raise IndexOutOfRange(f"output symbol {y} out of range 0..{size - 1}")
-
-
-def _require_color_count(color_count: int, limit: int) -> None:
-    if not 1 <= color_count <= limit:
-        raise DegenerateCode(f"color count must be in 1..{limit}, got {color_count}")
+def _require_color_count(color_count: int) -> None:
+    """Refuse M outside 1..2^63 - 1, the range an int64 color holds."""
+    if not 1 <= color_count <= 2 ** 63 - 1:
+        raise InvalidParameter(f"color count must be in 1..{2 ** 63 - 1}, got {color_count}")
 
 
 def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -> int:
-    """Pseudorandom color of (identity, pilot block) in {1..M}, for 1 <= M <= 2^64.
+    """Pseudorandom color of (identity, pilot block) in {1..M}, for 1 <= M <= 2^63 - 1.
 
     Rejection sampling removes the modulo bias; sender and receiver share
-    only the master seed.
+    only the master seed.  No code has more colors: its inner code would
+    need a distinct codeword for each.
     """
-    _require_color_count(color_count, 2 ** 64)
+    _require_color_count(color_count)
     payload = _payload(y_pilot)
     bound = (2 ** 64 // color_count) * color_count
     counter = 0
@@ -107,14 +93,14 @@ def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -
 
 def coloring_values(master_seed: int, color_count: int, identity: int,
                     blocks: np.ndarray) -> np.ndarray:
-    """`coloring_value` of every row of `blocks`, as int64, for 1 <= M < 2^63.
+    """`coloring_value` of every row of `blocks`, as int64, for 1 <= M <= 2^63 - 1.
 
     Rows are hashed COLORING_BATCH_ROWS at a time from one state that has
     absorbed the identity and counter 0.  A row that needs a redraw, or whose
     symbols are not all in 0..255 (a wide payload), goes through
     `coloring_value`.
     """
-    _require_color_count(color_count, 2 ** 63 - 1)
+    _require_color_count(color_count)
     blocks = np.asarray(blocks)
     colors = np.empty(blocks.shape[0], dtype=np.int64)
     bound = (2 ** 64 // color_count) * color_count
@@ -149,26 +135,26 @@ class TransmissionCode:
     """An (k, M) code over the averaged channel with ML decoding.
 
     `log_table[j, t, y]` holds log2 W_avg(y | u_j[t]) and defines the
-    decoder: every decision is `_ml_decode` over it, and |Y| is its last axis.
+    decoder: every decision is `_ml_decode` over it.  Its axes are the M
+    messages, the k tail positions and |Y|.
     """
 
-    k: int
-    M: int
     codewords: tuple[tuple[int, ...], ...]
     log_table: np.ndarray       # shape (M, k, Y)
     max_error: float
     error_method: str           # "exact" or "monte-carlo"
 
+    @property
+    def k(self) -> int:
+        return self.log_table.shape[1]
+
     def decode(self, y_tail) -> int:
-        """ML message index in {1..M}.
+        """ML message index in {1..M} of one tail of k symbols in 0..|Y|-1.
 
         Scores within ML_TIE_TOL bits of the best one tie, and the lowest
         index among them wins (`_ml_decode`).
         """
-        y_tail = np.asarray(y_tail, dtype=np.int64)
-        if y_tail.shape != (self.k,):
-            raise LengthMismatch(f"tail must have length {self.k}")
-        _require_symbols(y_tail.tolist(), self.log_table.shape[2])
+        y_tail = _block(np.ravel(y_tail), self.log_table.shape[2], self.k)
         return int(_ml_decode(self.log_table, y_tail[None])[0][0]) + 1
 
 
@@ -263,15 +249,19 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
 
     One Shannon solve of the restricted averaged channel (the rows of the
     feasible inputs) decides zero capacity, as the capacities' guard does,
-    and gives the codeword law.  Of RESTARTS i.i.d. codebooks (duplicates
-    resampled while distinct codewords remain), the one of smallest measured
+    and gives the codeword law.  Of RESTARTS i.i.d. codebooks (a repeated
+    codeword redrawn up to 200 times), the one of smallest measured
     maximal error is kept.  On a small codeword space a swap descent starts
     from it, then from each next distinct one while it ends at error >= 0.5;
-    a refusal reports the first descent.
+    a refusal reports the first descent.  More messages than the |active|^k
+    distinct codewords are refused before any draw: a repeated codeword's
+    later copy is never decoded, so its error would be 1.
     """
-    if M < 2:
-        raise DegenerateCode("an inner code needs at least 2 messages")
-    support = sorted(set(int(x) for x in feasible))
+    if _integer("k", k) < 1:
+        raise InvalidParameter(f"inner blocklength k must be >= 1, got {k}")
+    if _integer("M", M) < 2:
+        raise InvalidParameter("an inner code needs at least 2 messages")
+    support = sorted(set(int(x) for x in _block(list(feasible), ch.input_size, what="input")))
     if len(support) < 2:
         raise ZeroCapacityChannel("zero Shannon capacity: fewer than two feasible inputs")
     shannon = _shannon(ch.rows[support])
@@ -283,6 +273,9 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     active = [support[i] for i in np.flatnonzero(p_opt)]
     cum_weights = cumulative(p_opt[p_opt > 0])
     distinct_available = len(active) ** k
+    if M > distinct_available:
+        raise TooManyMessages(f"M={M} messages exceed the {distinct_available} distinct "
+                              f"codewords of blocklength k={k}")
     exact = ch.output_size ** k <= EXACT_ERROR_GUARD
 
     drawn = []
@@ -292,7 +285,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
         for _j in range(M):
             for _try in range(200):
                 cw = tuple(active[i] for i in sample_rows(cum_weights, rng.random(k)))
-                if cw not in seen or len(seen) >= distinct_available:
+                if cw not in seen:
                     break
             codewords.append(cw)
             seen.add(cw)
@@ -321,7 +314,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
             f"M={M} messages exceed what blocklength k={k} supports "
             f"(measured maximal error {worst:.3f})"
         )
-    return TransmissionCode(k=k, M=M, codewords=codewords, log_table=table,
+    return TransmissionCode(codewords=codewords, log_table=table,
                             max_error=worst,
                             error_method="exact" if exact else "monte-carlo")
 
@@ -337,7 +330,6 @@ class IDFeedbackCode:
 
     mode: str                               # "det" or "rand"
     n: int
-    m: int
     eps: float
     pilot: "int | InputDistribution"
     pilot_row: np.ndarray                   # output law of one pilot symbol
@@ -346,57 +338,58 @@ class IDFeedbackCode:
     inner: TransmissionCode
     master_seed: int
     budget: float
-    feasible: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        """Blocklength: the n pilot symbols and the k symbols of the inner code."""
+        return self.n + self.inner.k
 
     def _require_identity(self, identity: int) -> None:
         if not 1 <= identity <= self.identity_count:
-            raise DegenerateCode(f"identity {identity} out of range")
+            raise InvalidParameter(f"identity {identity} out of range")
 
     def coloring(self, identity: int, y_pilot) -> int:
-        """Color of one pilot block; its symbols must be in 0..|Y|-1."""
+        """Color of one pilot block; its symbols must be integers in 0..|Y|-1."""
         self._require_identity(identity)
-        _require_symbols(y_pilot, self.pilot_row.shape[0])
-        return coloring_value(self.master_seed, self.color_count, identity, y_pilot)
+        return coloring_value(self.master_seed, self.color_count, identity,
+                              _block(y_pilot, self.pilot_row.shape[0]))
 
     def colorings(self, identity: int, blocks: np.ndarray) -> np.ndarray:
-        """`coloring` of every row of `blocks`, as an int64 array; every
-        symbol must be in 0..|Y|-1."""
+        """`coloring` of every row of `blocks`, as an int64 array."""
         self._require_identity(identity)
-        blocks = np.asarray(blocks)
-        size = self.pilot_row.shape[0]
-        # one vectorized comparison picks the symbols out of range; the first raises
-        _require_symbols(blocks[(blocks < 0) | (blocks >= size)].tolist(), size)
-        return coloring_values(self.master_seed, self.color_count, identity, blocks)
+        return coloring_values(self.master_seed, self.color_count, identity,
+                               _block(np.asarray(blocks), self.pilot_row.shape[0]))
 
-    def pilot_typical(self, y_pilot) -> bool:
-        """Max-norm test of the empirical pilot output type against its law;
-        the block's symbols must be in 0..|Y|-1.
+    def pilot_typical(self, y_pilot):
+        """Max-norm test of the empirical pilot output type against its law,
+        of one pilot block (a bool) or of each row of an array (a bool array).
 
-        Depends on the output block only, so encoder and decoder always
-        agree; for a constant deterministic pilot this coincides with
-        conditional-type typicality.  Decided on integer counts by
-        `typicality.counts_typical`, the library's one typicality test.
+        A block holds n integers in 0..|Y|-1.  The test depends on the output
+        block only, so sender and receiver always agree; for a constant
+        deterministic pilot it coincides with conditional-type typicality.
+        Decided on integer counts by `typicality.counts_typical`, the
+        library's one typicality test.  The sender, the receiver, the
+        simulator and the exact oracle all call this method.
         """
-        y_pilot = np.asarray(y_pilot, dtype=np.int64)
-        if y_pilot.size == 0:
-            raise LengthMismatch("pilot block must have length >= 1")
-        _require_symbols(y_pilot.tolist(), self.pilot_row.size)
-        counts = np.bincount(y_pilot, minlength=self.pilot_row.size)
-        return bool(counts_typical(counts, self.pilot_row, self.eps))
+        size = self.pilot_row.shape[0]
+        blocks = _block(np.asarray(y_pilot), size, self.n)
+        counts = symbol_counts(blocks.reshape(-1, self.n), size)
+        typical = counts_typical(counts, self.pilot_row, self.eps)
+        return bool(typical[0]) if blocks.ndim == 1 else typical
 
-    def pilot_input(self, rng: np.random.Generator) -> int:
-        """The next pilot symbol: the constant one (det, draws nothing) or
-        one draw from the pilot law (rand)."""
+    def pilot_input(self, rng: np.random.Generator, shape=()):
+        """Pilot symbols: the constant one (det; one int, whatever the shape,
+        and nothing drawn) or draws of `shape` from the pilot law (rand; one
+        int for shape ())."""
         if self.mode == "det":
             return int(self.pilot)
-        return int(sample_rows(cumulative(self.pilot.p), rng.random(1))[0])
+        x = sample_rows(cumulative(self.pilot.p), rng.random(shape))
+        return x if shape else int(x)
 
     def commit(self, identity: int, y_pilot) -> int:
         """The inner message sent after the fed-back pilot block: its color
         if the block is typical, else ABORT_COLOR."""
         self._require_identity(identity)
-        if len(y_pilot) != self.n:
-            raise LengthMismatch(f"pilot feedback must have length {self.n}")
         if self.pilot_typical(y_pilot):
             return self.coloring(identity, y_pilot)
         return ABORT_COLOR
@@ -417,10 +410,7 @@ class IDFeedbackCode:
 
 def verify(code: IDFeedbackCode, claimed_identity: int, y_full) -> bool:
     """Receiver test: pilot typical and inner decode equal to the claimed color."""
-    y_full = [int(y) for y in y_full]
-    if len(y_full) != code.m:
-        raise LengthMismatch(f"output must have length {code.m}")
-    _require_symbols(y_full, code.pilot_row.shape[0])
+    y_full = _block(y_full, code.pilot_row.shape[0], code.m)
     y_pilot = y_full[:code.n]
     if not code.pilot_typical(y_pilot):
         return False
@@ -436,28 +426,27 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
     """Assemble the concatenated feedback ID code for one budget."""
     if mode not in ("det", "rand"):
         raise InvalidParameter(f"unknown mode {mode!r}")
-    if identities < 2:
-        raise DegenerateCode("need at least 2 identities")
-    if n < 1:
-        raise DegenerateCode("pilot length must be >= 1")
+    if _integer("identities", identities) < 2:
+        raise InvalidParameter("need at least 2 identities")
+    if _integer("n", n) < 1:
+        raise InvalidParameter("pilot length must be >= 1")
+    _integer("colors", colors)
     if not eps > 0:
-        raise DegenerateCode(f"typicality radius eps must be > 0, got {eps}")
+        raise InvalidParameter(f"typicality radius eps must be > 0, got {eps}")
     k = math.ceil(math.sqrt(n))
     _, feasible = _feasible_inputs(ch, dist, budget)
 
     if mode == "det":
         pilot: int | InputDistribution = det_capacity_distortion(ch, dist, budget).maximizer
         pilot_row = ch.rows[pilot].copy()
-        inner_support = [int(x) for x in feasible]
+        inner_support = feasible
     else:
         pilot = rand_capacity_distortion(ch, dist, budget).maximizer
         pilot_row = pilot.p @ ch.rows
-        inner_support = [int(x) for x in np.flatnonzero(pilot.p > SUPPORT_TOL)]
+        inner_support = np.flatnonzero(pilot.p > SUPPORT_TOL)
 
     rng = np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, 0xC0DEB00C])
     inner = build_transmission_code(ch, k, colors, inner_support, rng)
-    return IDFeedbackCode(mode=mode, n=n, m=n + k, eps=eps, pilot=pilot,
-                          pilot_row=pilot_row, identity_count=identities,
-                          color_count=colors, inner=inner,
-                          master_seed=master_seed, budget=budget,
-                          feasible=tuple(int(x) for x in feasible))
+    return IDFeedbackCode(mode=mode, n=n, eps=eps, pilot=pilot, pilot_row=pilot_row,
+                          identity_count=identities, color_count=colors, inner=inner,
+                          master_seed=master_seed, budget=budget)

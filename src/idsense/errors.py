@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of counts."""
+
+import operator
 
 
 class IdsenseError(Exception):
@@ -67,9 +69,14 @@ class TooManyMessages(IdsenseError):
     pass
 
 
-class DegenerateCode(IdsenseError):
-    pass
-
-
 class AlphabetTooLarge(IdsenseError):
     pass
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int; a value that is not an integer (2.5, nan, 4.0)
+    raises InvalidParameter."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None

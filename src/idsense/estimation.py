@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StateDMC
+from .channel import StateDMC, _block
 from .errors import (
     DimensionMismatch,
     InfeasibleDistortion,
@@ -75,13 +75,15 @@ def _check_distribution(p, size: int | None = None) -> np.ndarray:
     """p as a float vector on the probability simplex, the one such check.
 
     A 1-D vector (of `size` entries, if given) with entries in
-    [-SIMPLEX_TOL, 1 + SIMPLEX_TOL] whose sum is within SIMPLEX_TOL of 1.
+    [-SIMPLEX_TOL, 1 + SIMPLEX_TOL] whose sum is within SIMPLEX_TOL of 1;
+    so no entry is nan or infinite.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or size is not None and p.shape != (size,):
         expected = "(n,)" if size is None else f"({size},)"
         raise NotADistribution(f"distribution has shape {p.shape}, expected {expected}")
-    if (p < -SIMPLEX_TOL).any() or (p > 1 + SIMPLEX_TOL).any() or abs(p.sum() - 1.0) > SIMPLEX_TOL:
+    if (p < -SIMPLEX_TOL).any() or (p > 1 + SIMPLEX_TOL).any() \
+            or not abs(p.sum() - 1.0) <= SIMPLEX_TOL:     # a nan entry fails this too
         raise NotADistribution("vector is not on the probability simplex")
     return p
 
@@ -140,10 +142,8 @@ def feasible_inputs(ch: StateDMC, dist: DistortionMatrix, budget: float) -> set[
 
 def estimate_sequence(table: EstimatorTable, x_seq, y_seq) -> np.ndarray:
     """Apply the per-letter rule; strictly causal in (x_t, y_t)."""
-    x_seq = np.asarray(x_seq, dtype=np.int64)
-    y_seq = np.asarray(y_seq, dtype=np.int64)
+    x_seq = _block(np.asarray(x_seq), table.h.shape[0], what="input")
+    y_seq = _block(np.asarray(y_seq), table.h.shape[1])
     if x_seq.shape != y_seq.shape:
         raise LengthMismatch("input and output sequences differ in length")
-    if x_seq.size == 0:
-        return np.zeros(0, dtype=np.int64)
     return table.h[x_seq, y_seq]

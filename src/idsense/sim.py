@@ -16,7 +16,7 @@ import numpy as np
 from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
 from .coding import ABORT_COLOR, IDFeedbackCode, _ml_decode, confusion_matrix, verify
-from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter
+from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter, _integer
 from .estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
@@ -26,8 +26,7 @@ from .estimation import (
     optimal_estimator,
     posterior_cost,
 )
-from .typicality import chunks, counts_typical, enumerate_blocks, require_enumerable, \
-    symbol_counts
+from .typicality import chunks, enumerate_blocks, require_enumerable
 
 MAX_IDENTITIES = 8     # identities tested by `monte_carlo`: all up to this many
 MAX_PAIRS = 16         # ordered pairs tested by `monte_carlo`, at most
@@ -191,19 +190,18 @@ def _colors_for(code: IDFeedbackCode, identity: int, keys: np.ndarray,
     return colors
 
 
-def _pair_tables(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix) -> tuple:
+def _pair_tables(ch: StateDMC, dist: DistortionMatrix) -> tuple:
     """What every pair of one `monte_carlo` call draws from and looks up.
 
     The cumulative state prior; the cumulative kernel as a flat
-    (|X|·|S|, |Y|) table, whose row x·|S| + s is W(.|x, s); the cumulative
-    rand pilot law (None in det mode); and the fused distortion table
-    D[(x·|S| + s)·|Y| + y] = d(s, h(x, y)) of the optimal estimator h.
+    (|X|·|S|, |Y|) table, whose row x·|S| + s is W(.|x, s); and the fused
+    distortion table D[(x·|S| + s)·|Y| + y] = d(s, h(x, y)) of the optimal
+    estimator h.  The pilot symbols come from `IDFeedbackCode.pilot_input`.
     """
     table = optimal_estimator(ch, dist)
     fused = dist.d[np.arange(ch.state_size)[None, :, None], table.h[:, None, :]]
     return (cumulative(ch.state_prior),
             cumulative(ch.kernel).reshape(-1, ch.output_size),
-            None if code.mode == "det" else cumulative(code.pilot.p),
             fused.ravel())
 
 
@@ -219,15 +217,11 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
     """
     rng = np.random.default_rng(seed)
     n, m, k = code.n, code.m, code.inner.k
-    cum_prior, cum_kernel, cum_pilot, fused = tables
+    cum_prior, cum_kernel, fused = tables
     state_size, output_size = cum_prior.shape[0], cum_kernel.shape[1]
     states = sample_rows(cum_prior, rng.random((trials, m)))
 
-    if code.mode == "det":
-        x_pilot = int(code.pilot)
-    else:
-        x_pilot = sample_rows(cum_pilot, rng.random((trials, n)))
-    pilot_rows = x_pilot * state_size + states[:, :n]
+    pilot_rows = code.pilot_input(rng, (trials, n)) * state_size + states[:, :n]
     y_pilot = sample_rows(cum_kernel, rng.random((trials, n)), pilot_rows)
     dvals = np.empty((trials, m))
     dvals[:, :n] = fused.take(pilot_rows * output_size + y_pilot)
@@ -235,8 +229,7 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
         y_pilot = y_pilot.astype(np.uint8)
 
     keys, blocks, inverse = _distinct_blocks(y_pilot, output_size)
-    typical = counts_typical(symbol_counts(blocks, output_size), code.pilot_row,
-                             code.eps)[inverse]
+    typical = code.pilot_typical(blocks)[inverse]
     colors = _colors_for(code, identity, keys, blocks, cache)[inverse]
     sent_colors = np.where(typical, colors, ABORT_COLOR)
     tested_colors = (colors if tested_identity == identity
@@ -280,9 +273,11 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     rate of the identity's own test; lambda2 as the max over tested ordered
     pairs of the false-accept rate.  Deterministic given the seed.
     """
-    if trials_per_pair < 1:
+    if _integer("trials_per_pair", trials_per_pair) < 1:
         raise InvalidParameter("trials_per_pair must be >= 1")
-    tables = _pair_tables(code, ch, dist)
+    if _integer("seed", seed) < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    tables = _pair_tables(ch, dist)
     identities, pairs = _choose_identities(code, seed)
 
     dist_sum = np.zeros(code.m)
@@ -353,7 +348,7 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
         prob = np.ones(chunk.shape[0])
         for t in range(code.n):
             prob *= row[chunk[:, t]]
-        typical = counts_typical(symbol_counts(chunk, ch.output_size), row, code.eps)
+        typical = code.pilot_typical(chunk)
         atypical_mass = _running_sum(atypical_mass, prob[(prob != 0.0) & ~typical])
         keep = (prob != 0.0) & typical
         prob, blocks = prob[keep], chunk[keep]
@@ -404,6 +399,8 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
     """Exhaustive grid maximum of the (constrained) output-mixture entropy."""
     if ch.input_size > 3:
         raise AlphabetTooLarge("grid oracle supports |X| <= 3")
+    if _integer("resolution", resolution) < 1:
+        raise InvalidParameter(f"grid resolution must be >= 1, got {resolution}")
     if resolution > 400:
         raise AlphabetTooLarge("grid resolution capped at 400")
     grid = _simplex_grid(ch.input_size, resolution)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .capacity import entropy
-from .channel import StateDMC
-from .errors import IndexOutOfRange, InvalidParameter, LengthMismatch, TooLargeToEnumerate
+from .channel import StateDMC, _block
+from .errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
 from .estimation import _check_distribution
 
 ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
@@ -60,10 +60,8 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
         raise InvalidParameter("eps must be > 0")
     rows = ch.rows
     if np.isscalar(pilot) or isinstance(pilot, (int, np.integer)):
-        x = int(pilot)
-        if not 0 <= x < ch.input_size:
-            raise IndexOutOfRange(f"input symbol {x} out of range 0..{ch.input_size - 1}")
-        h = entropy(rows[x])
+        _block([pilot], ch.input_size, what="input")
+        h = entropy(rows[int(pilot)])
     else:
         p = getattr(pilot, "p", pilot)
         p = _check_distribution(p, ch.input_size)
@@ -104,12 +102,9 @@ def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ..
     """Exhaustive, lexicographically sorted typical set for a fixed pilot x^n."""
     if eps < 0:
         raise InvalidParameter("eps must be >= 0")
-    x_seq = np.array([int(x) for x in x_seq], dtype=np.int64)
+    x_seq = _block(np.asarray(x_seq), ch.input_size, what="input")
     if x_seq.size == 0:
         raise LengthMismatch("sequences must have length >= 1")
-    outside = x_seq[(x_seq < 0) | (x_seq >= ch.input_size)]
-    if outside.size:
-        raise IndexOutOfRange(f"input symbol {outside[0]} out of range 0..{ch.input_size - 1}")
     rows = ch.rows
     members = []
     for chunk in chunks(enumerate_blocks(ch.output_size, x_seq.size)):

@@ -13,6 +13,7 @@ import idsense
 from idsense import fixtures
 from idsense.capacity import (
     ZERO_CAPACITY_TOL,
+    InputDistribution,
     _line_search,
     _require_positive_capacity,
     binary_entropy,
@@ -29,7 +30,6 @@ from idsense.capacity import (
 from idsense.channel import StateDMC
 from idsense.coding import build_transmission_code
 from idsense.errors import (
-    DegenerateCode,
     InfeasibleDistortion,
     InvalidParameter,
     NotADistribution,
@@ -73,10 +73,13 @@ class TestEntropy:
         assert entropy([0.9, 0.1]) == pytest.approx(0.468996, abs=1e-6)
 
     def test_not_a_distribution(self):
-        # the 2-D one summed to 1 over all its entries and returned 1.0
-        for q in ([0.5, 0.6], [[0.5, 0.5], [0.0, 0.0]]):
+        # the 2-D one summed to 1 over all its entries and returned 1.0, and the
+        # one with a nan entry passed every comparison and returned -0.0
+        for q in ([0.5, 0.6], [[0.5, 0.5], [0.0, 0.0]], [float("nan"), 1.0]):
             with pytest.raises(NotADistribution):
                 entropy(q)
+        with pytest.raises(NotADistribution):
+            InputDistribution([float("nan"), 1.0])
 
 
 class TestShannon:
@@ -388,7 +391,7 @@ class TestRateOfCode:
         assert rate_of_code(2, 5) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateCode):
+        with pytest.raises(InvalidParameter):
             rate_of_code(1, 4)
 
     def test_big_integer_identity_count(self):

@@ -18,14 +18,14 @@ from idsense.coding import (
     verify,
 )
 from idsense.errors import (
-    DegenerateCode,
     IndexOutOfRange,
     InfeasibleDistortion,
+    InvalidParameter,
     LengthMismatch,
     TooManyMessages,
     ZeroCapacityChannel,
 )
-from idsense.estimation import hamming_distortion
+from idsense.estimation import feasible_inputs, hamming_distortion
 from idsense.typicality import enumerate_blocks, enumerate_typical_set
 from tests.conftest import budget_hides_the_useful_input, random_channel
 
@@ -89,7 +89,7 @@ class TestColoring:
 
 
 class TestColorCount:
-    """M must lie in 1..2^64 (1..2^63 - 1 for the int64 batch), refused up front."""
+    """M must lie in 1..2^63 - 1, the range of an int64 color, refused up front."""
 
     @pytest.fixture(autouse=True)
     def alarm(self):
@@ -104,17 +104,24 @@ class TestColorCount:
 
     @pytest.mark.parametrize("M", [0, -3, 2 ** 64 + 1, 2 ** 65])
     def test_refused(self, M):
-        with pytest.raises(DegenerateCode):
+        with pytest.raises(InvalidParameter):
             coloring_value(1, M, 1, b"\x00")
-        with pytest.raises(DegenerateCode):
+        with pytest.raises(InvalidParameter):
             coloring_values(1, M, 1, np.zeros((2, 1), dtype=np.uint8))
 
     def test_largest_count(self):
-        assert 1 <= coloring_value(1, 2 ** 64, 1, b"\x00") <= 2 ** 64
+        blocks = np.zeros((2, 1), dtype=np.uint8)
+        with pytest.raises(InvalidParameter):
+            coloring_value(1, 2 ** 63, 1, b"\x00")
+        with pytest.raises(InvalidParameter):
+            coloring_values(1, 2 ** 63, 1, blocks)
+        assert 1 <= coloring_value(1, 2 ** 63 - 1, 1, b"\x00") <= 2 ** 63 - 1
+        assert coloring_values(1, 2 ** 63 - 1, 1, blocks).tolist() == \
+            [coloring_value(1, 2 ** 63 - 1, 1, b"\x00")] * 2
 
     def test_batch_stays_int64(self):
         blocks = np.zeros((2, 1), dtype=np.uint8)
-        with pytest.raises(DegenerateCode):
+        with pytest.raises(InvalidParameter):
             coloring_values(1, 2 ** 63, 1, blocks)
         assert coloring_values(1, 2 ** 63 - 1, 1, blocks).tolist() == \
             [coloring_value(1, 2 ** 63 - 1, 1, b"\x00")] * 2
@@ -162,7 +169,7 @@ class TestTransmissionCode:
             build_transmission_code(noiseless_binary(), 2, 2, set(), np.random.default_rng(5))
 
     def test_degenerate_message_count(self):
-        with pytest.raises(DegenerateCode):
+        with pytest.raises(InvalidParameter):
             build_transmission_code(noiseless_binary(), 2, 1, {0, 1},
                                     np.random.default_rng(6))
 
@@ -238,7 +245,7 @@ class TestBuildIDCode:
     @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
     def test_nonpositive_eps_rejected(self, flip, ham2, eps):
         # as in typical_size_bounds, typicality needs a positive radius
-        with pytest.raises(DegenerateCode, match="eps"):
+        with pytest.raises(InvalidParameter, match="eps"):
             build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                           eps=eps, mode="det", master_seed=1)
 
@@ -275,7 +282,7 @@ class TestBuildIDCode:
         code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
                              eps=0.3, mode="det", master_seed=1)
         used = {int(code.pilot)} | {x for cw in code.inner.codewords for x in cw}
-        assert used <= set(code.feasible)
+        assert used <= feasible_inputs(flip, ham2, 0.45)
 
 
 class TestEncoderDecoder:
@@ -328,7 +335,7 @@ class TestEncoderDecoder:
     def test_identity_out_of_range(self, flip, ham2):
         code = self._code(flip, ham2)
         for identity in (0, 9):
-            with pytest.raises(DegenerateCode):
+            with pytest.raises(InvalidParameter):
                 code.commit(identity, (0, 0, 0, 0))
 
     # a symbol outside 0..|Y|-1 in the pilot (negative, or past the alphabet)
@@ -361,6 +368,46 @@ class TestEncoderDecoder:
         code = self._code(flip, ham2)
         with pytest.raises(IndexOutOfRange):
             code.inner.decode(y_tail)
+
+    # a non-integral symbol used to be truncated: an accepted output plus 0.5
+    # was accepted again, and the tail (0.7, 0.2) decoded as (0, 0) does
+    @pytest.mark.parametrize("call", [
+        lambda code, y: verify(code, 2, [v + 0.5 for v in y]),
+        lambda code, y: code.inner.decode([0.7, 0.2]),
+        lambda code, y: code.coloring(2, (0, 0, 0.5, 0)),
+        lambda code, y: code.pilot_typical((0, 0, 0.5, 0)),
+        lambda code, y: code.commit(2, (0, 0, 0.5, 0)),
+        lambda code, y: code.colorings(2, np.array([[0, 0, 0, 0], [0, 0, 0.5, 0]])),
+        lambda code, y: code.pilot_typical(np.array([[0, 0, 0, 0], [0, np.nan, 0, 0]])),
+    ], ids=["verify", "decode", "coloring", "pilot_typical", "commit", "colorings",
+            "pilot_typical-nan"])
+    def test_non_integral_symbol(self, flip, ham2, call):
+        code = self._code(flip, ham2)
+        pilot = (0, 0, 0, 0)
+        y_full = pilot + code.inner.codewords[code.coloring(2, pilot) - 1]
+        assert verify(code, 2, y_full)
+        # an integral float is its integer
+        assert verify(code, 2, [float(v) for v in y_full])
+        with pytest.raises(IndexOutOfRange):
+            call(code, y_full)
+
+    def test_pilot_typical_of_blocks(self, flip, ham2):
+        code = self._code(flip, ham2)
+        blocks = enumerate_blocks(flip.output_size, code.n)
+        typical = code.pilot_typical(blocks)
+        assert typical.tolist() == [code.pilot_typical(tuple(b)) for b in blocks.tolist()]
+        assert typical.sum() == 5     # (0, 0, 0, 0) and the four with one 1
+        with pytest.raises(LengthMismatch):
+            code.pilot_typical(blocks[:, 1:])
+
+    def test_rand_pilot_draws(self, flip, ham2):
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=4, colors=4,
+                             eps=0.3, mode="rand", master_seed=1)
+        # shape () consumes the stream as one draw of a batch does
+        one, batch = np.random.default_rng(7), np.random.default_rng(7)
+        drawn = [code.pilot_input(one) for _ in range(12)]
+        assert all(type(x) is int for x in drawn)
+        assert drawn == code.pilot_input(batch, (3, 4)).ravel().tolist()
 
     # batched coloring refuses what the scalar one does: a wide symbol past the
     # alphabet used to get a color, and -1 ended in a bare ValueError from bytes()

@@ -16,7 +16,7 @@ import pytest
 
 from idsense import fixtures
 from idsense.coding import ML_TIE_TOL, build_id_code
-from idsense.errors import DegenerateCode, InfeasibleDistortion, TooLargeToEnumerate
+from idsense.errors import InfeasibleDistortion, InvalidParameter, TooLargeToEnumerate
 from idsense.estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
@@ -279,7 +279,7 @@ class TestBatchedColoring:
         code = self.code_for(5, flip, ham2)
         blocks = np.zeros((3, 4), dtype=np.uint8)
         for identity in (0, code.identity_count + 1):
-            with pytest.raises(DegenerateCode):
+            with pytest.raises(InvalidParameter):
                 code.colorings(identity, blocks)
 
 
