@@ -27,6 +27,7 @@ from .errors import (
     InvalidParameter,
     NoConvergence,
     ZeroCapacityChannel,
+    _integer,
 )
 from .estimation import DistortionMatrix, _check_distribution, _feasible_inputs
 
@@ -356,8 +357,7 @@ def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
     and their distortion-constrained values alike (K1-K4); the caller passes
     whichever of those rates it has computed.
     """
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
+    n, output_size = _integer("n", n, 0), _integer("output_size", output_size, 1)
     if not 0.0 < mu < 1.0:
         raise InvalidParameter("mu must lie in (0, 1)")
     beta = max(math.log2(3.0) ** 2, math.log2(output_size) ** 2)
@@ -366,8 +366,5 @@ def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
 
 def rate_of_code(num_identities: int, blocklength: int) -> float:
     """ID rate log2(log2 N) / m."""
-    if num_identities < 2:
-        raise InvalidParameter(f"need at least 2 identities, got {num_identities}")
-    if blocklength < 1:
-        raise InvalidParameter("blocklength must be >= 1")
-    return math.log2(math.log2(num_identities)) / blocklength
+    return (math.log2(math.log2(_integer("num_identities", num_identities, 2)))
+            / _integer("blocklength", blocklength, 1))

@@ -20,6 +20,7 @@ from .errors import (
     NegativeProbability,
     NotADistribution,
     RowNotNormalized,
+    _integer,
 )
 
 # Normalization is checked exactly at validation.
@@ -56,9 +57,10 @@ class StateDMC:
             raise DimensionMismatch(
                 f"state prior shape {prior.shape} does not match state size {self.state_size}"
             )
-        if (kernel < 0).any() or (prior < 0).any():
-            raise NegativeProbability("negative probability entry")
-        if (kernel > 1).any() or (prior > 1).any():
+        # a nan entry fails both comparisons, so no sum below is nan
+        if not ((kernel >= 0).all() and (prior >= 0).all()):
+            raise NegativeProbability("negative or nan probability entry")
+        if not ((kernel <= 1).all() and (prior <= 1).all()):
             raise NegativeProbability("probability entry exceeds 1")
         sums = kernel.sum(axis=2)
         for x in range(self.input_size):
@@ -159,8 +161,8 @@ def _block(block, size: int, length: int | None = None, what: str = "output"):
 
 
 def sample_state_sequence(ch: StateDMC, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. states from the prior; deterministic given the rng state."""
-    return sample_rows(cumulative(ch.state_prior), rng.random(n))
+    """Draw n >= 0 i.i.d. states from the prior; deterministic given the rng state."""
+    return sample_rows(cumulative(ch.state_prior), rng.random(_integer("n", n, 0)))
 
 
 def transmit(ch: StateDMC, x: int, s: int, rng: np.random.Generator) -> int:

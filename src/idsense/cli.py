@@ -57,11 +57,11 @@ from .estimation import (
 )
 from .fixtures import fixture_path
 from .sim import (
+    _choose_identities,
     _rate_stderr,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     monte_carlo,
-    require_exact_enumerable,
 )
 from .typicality import typical_size_bounds
 
@@ -376,8 +376,8 @@ def simulate(ch, distortion, budget, mode, n, identities, colors, eps,
     if budget is None:
         budget = float(distortion_profile(ch, distortion).per_input.max())
     code = build_id_code(ch, distortion, budget, n, identities, colors, eps, mode, seed)
-    if exact:  # refuse past the enumeration guard before any trial is drawn
-        require_exact_enumerable(code, ch)
+    if exact:  # the oracle first: its guard refuses before any trial is drawn
+        oracle = exact_error_probabilities(code, ch, _choose_identities(code, seed)[1])
     report = monte_carlo(code, ch, distortion, trials, seed=seed)
     data = report.to_dict()
     data["code"] = code.to_dict()
@@ -388,7 +388,6 @@ def simulate(ch, distortion, budget, mode, n, identities, colors, eps,
     data["image_size_log2_K3"] = image_size_bound(code.m, 0.5, ch.output_size,
                                                   det_within_budget.value)
     if exact:
-        oracle = exact_error_probabilities(code, ch, report.pairs)
         data["exact_lambda1"] = {str(k): v for k, v in
                                  sorted(oracle["lambda1"].items())}
         data["exact_lambda2"] = {f"{a}->{b}": v for (a, b), v in

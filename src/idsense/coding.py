@@ -40,8 +40,7 @@ RESTARTS = 32                 # random codebooks drawn per inner code
 @lru_cache(maxsize=1024)
 def _prf_prefix(master_seed: int, identity: int):
     """The keyed BLAKE2b state after absorbing the identity; copy before use."""
-    key = (master_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    h = hashlib.blake2b(digest_size=8, key=key)
+    h = hashlib.blake2b(digest_size=8, key=master_seed.to_bytes(8, "little"))
     ident = identity.to_bytes(max(1, (identity.bit_length() + 7) // 8), "big")
     h.update(len(ident).to_bytes(4, "big"))
     h.update(ident)
@@ -67,20 +66,28 @@ def _payload(y_pilot) -> bytes:
     return len(symbols).to_bytes(4, "big") + b"".join(y.to_bytes(8, "big") for y in symbols)
 
 
-def _require_color_count(color_count: int) -> None:
-    """Refuse M outside 1..2^63 - 1, the range an int64 color holds."""
-    if not 1 <= color_count <= 2 ** 63 - 1:
-        raise InvalidParameter(f"color count must be in 1..{2 ** 63 - 1}, got {color_count}")
+def _seed_and_count(master_seed, color_count) -> tuple[int, int]:
+    """The master seed in 0..2^64 - 1, the 8 bytes of the key, and the color
+    count in 1..2^63 - 1, the range an int64 color holds."""
+    return (_integer("master seed", master_seed, 0, 2 ** 64 - 1),
+            _integer("color count", color_count, 1, 2 ** 63 - 1))
 
 
 def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -> int:
-    """Pseudorandom color of (identity, pilot block) in {1..M}, for 1 <= M <= 2^63 - 1.
+    """Pseudorandom color of (identity, pilot block) in {1..M}.
 
-    Rejection sampling removes the modulo bias; sender and receiver share
-    only the master seed.  No code has more colors: its inner code would
-    need a distinct codeword for each.
+    The master seed is an integer in 0..2^64 - 1, the color count M one in
+    1..2^63 - 1 and the identity one >= 0; anything else raises
+    InvalidParameter.  Rejection sampling removes the modulo bias; sender
+    and receiver share only the master seed.  No code has more colors: its
+    inner code would need a distinct codeword for each.
     """
-    _require_color_count(color_count)
+    return _color(*_seed_and_count(master_seed, color_count),
+                  _integer("identity", identity, 0), y_pilot)
+
+
+def _color(master_seed: int, color_count: int, identity: int, y_pilot) -> int:
+    """`coloring_value` of a seed, count and identity already checked."""
     payload = _payload(y_pilot)
     bound = (2 ** 64 // color_count) * color_count
     counter = 0
@@ -93,14 +100,15 @@ def coloring_value(master_seed: int, color_count: int, identity: int, y_pilot) -
 
 def coloring_values(master_seed: int, color_count: int, identity: int,
                     blocks: np.ndarray) -> np.ndarray:
-    """`coloring_value` of every row of `blocks`, as int64, for 1 <= M <= 2^63 - 1.
+    """`coloring_value` of every row of `blocks`, as int64, with the same
+    domain of seed, count and identity.
 
     Rows are hashed COLORING_BATCH_ROWS at a time from one state that has
     absorbed the identity and counter 0.  A row that needs a redraw, or whose
-    symbols are not all in 0..255 (a wide payload), goes through
-    `coloring_value`.
+    symbols are not all in 0..255 (a wide payload), is colored alone.
     """
-    _require_color_count(color_count)
+    master_seed, color_count = _seed_and_count(master_seed, color_count)
+    identity = _integer("identity", identity, 0)
     blocks = np.asarray(blocks)
     colors = np.empty(blocks.shape[0], dtype=np.int64)
     bound = (2 ** 64 // color_count) * color_count
@@ -124,7 +132,7 @@ def coloring_values(master_seed: int, color_count: int, identity: int,
             scalar[fast[values >= np.uint64(bound)]] = True
         colors[start + fast] = values % np.uint64(color_count) + np.uint64(1)
         for i in np.flatnonzero(scalar):
-            colors[start + i] = coloring_value(master_seed, color_count, identity, rows[i])
+            colors[start + i] = _color(master_seed, color_count, identity, rows[i])
     return colors
 
 
@@ -257,10 +265,7 @@ def build_transmission_code(ch: StateDMC, k: int, M: int, feasible,
     distinct codewords are refused before any draw: a repeated codeword's
     later copy is never decoded, so its error would be 1.
     """
-    if _integer("k", k) < 1:
-        raise InvalidParameter(f"inner blocklength k must be >= 1, got {k}")
-    if _integer("M", M) < 2:
-        raise InvalidParameter("an inner code needs at least 2 messages")
+    k, M = _integer("k", k, 1), _integer("M", M, 2)
     support = sorted(set(int(x) for x in _block(list(feasible), ch.input_size, what="input")))
     if len(support) < 2:
         raise ZeroCapacityChannel("zero Shannon capacity: fewer than two feasible inputs")
@@ -344,20 +349,19 @@ class IDFeedbackCode:
         """Blocklength: the n pilot symbols and the k symbols of the inner code."""
         return self.n + self.inner.k
 
-    def _require_identity(self, identity: int) -> None:
-        if not 1 <= identity <= self.identity_count:
-            raise InvalidParameter(f"identity {identity} out of range")
-
     def coloring(self, identity: int, y_pilot) -> int:
-        """Color of one pilot block; its symbols must be integers in 0..|Y|-1."""
-        self._require_identity(identity)
-        return coloring_value(self.master_seed, self.color_count, identity,
-                              _block(y_pilot, self.pilot_row.shape[0]))
+        """Color of one pilot block; its symbols must be integers in 0..|Y|-1.
+
+        Of the key only the identity is checked, in 1..N: the code's seed
+        and color count were checked when it was built, not per block."""
+        return _color(self.master_seed, self.color_count,
+                      _integer("identity", identity, 1, self.identity_count),
+                      _block(y_pilot, self.pilot_row.shape[0]))
 
     def colorings(self, identity: int, blocks: np.ndarray) -> np.ndarray:
         """`coloring` of every row of `blocks`, as an int64 array."""
-        self._require_identity(identity)
-        return coloring_values(self.master_seed, self.color_count, identity,
+        return coloring_values(self.master_seed, self.color_count,
+                               _integer("identity", identity, 1, self.identity_count),
                                _block(np.asarray(blocks), self.pilot_row.shape[0]))
 
     def pilot_typical(self, y_pilot):
@@ -389,7 +393,7 @@ class IDFeedbackCode:
     def commit(self, identity: int, y_pilot) -> int:
         """The inner message sent after the fed-back pilot block: its color
         if the block is typical, else ABORT_COLOR."""
-        self._require_identity(identity)
+        _integer("identity", identity, 1, self.identity_count)
         if self.pilot_typical(y_pilot):
             return self.coloring(identity, y_pilot)
         return ABORT_COLOR
@@ -426,11 +430,8 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
     """Assemble the concatenated feedback ID code for one budget."""
     if mode not in ("det", "rand"):
         raise InvalidParameter(f"unknown mode {mode!r}")
-    if _integer("identities", identities) < 2:
-        raise InvalidParameter("need at least 2 identities")
-    if _integer("n", n) < 1:
-        raise InvalidParameter("pilot length must be >= 1")
-    _integer("colors", colors)
+    identities, n = _integer("identities", identities, 2), _integer("n", n, 1)
+    master_seed, colors = _seed_and_count(master_seed, colors)
     if not eps > 0:
         raise InvalidParameter(f"typicality radius eps must be > 0, got {eps}")
     k = math.ceil(math.sqrt(n))
@@ -445,7 +446,7 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
         pilot_row = pilot.p @ ch.rows
         inner_support = np.flatnonzero(pilot.p > SUPPORT_TOL)
 
-    rng = np.random.default_rng([master_seed & 0xFFFFFFFFFFFFFFFF, 0xC0DEB00C])
+    rng = np.random.default_rng([master_seed, 0xC0DEB00C])
     inner = build_transmission_code(ch, k, colors, inner_support, rng)
     return IDFeedbackCode(mode=mode, n=n, eps=eps, pilot=pilot, pilot_row=pilot_row,
                           identity_count=identities, color_count=colors, inner=inner,

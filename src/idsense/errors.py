@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of counts."""
+"""Exception types shared across the package, and the range check of counts."""
 
 import operator
 
@@ -73,10 +73,15 @@ class AlphabetTooLarge(IdsenseError):
     pass
 
 
-def _integer(name: str, value) -> int:
-    """`value` as an int; a value that is not an integer (2.5, nan, 4.0)
-    raises InvalidParameter."""
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int in low..high (no upper end if `high` is None), the one
+    range check of counts, indices and seeds; a value that is not an integer
+    (2.5, nan, 4.0) or lies outside the range raises InvalidParameter."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
+        if low <= number and (high is None or number <= high):
+            return number
     except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        pass
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise InvalidParameter(f"{name} must be an integer {span}, got {value!r}")

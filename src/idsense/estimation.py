@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatch,
     NegativeDistortion,
     NotADistribution,
+    _integer,
 )
 
 # Absolute slack for budget comparisons: analytically tight budgets
@@ -44,7 +45,7 @@ class DistortionMatrix:
 
 
 def hamming_distortion(state_size: int) -> DistortionMatrix:
-    return DistortionMatrix(d=1.0 - np.eye(state_size))
+    return DistortionMatrix(d=1.0 - np.eye(_integer("state_size", state_size, 1)))
 
 
 @dataclass(frozen=True, eq=False)

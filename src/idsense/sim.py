@@ -26,7 +26,7 @@ from .estimation import (
     optimal_estimator,
     posterior_cost,
 )
-from .typicality import chunks, enumerate_blocks, require_enumerable
+from .typicality import chunks, enumerate_blocks
 
 MAX_IDENTITIES = 8     # identities tested by `monte_carlo`: all up to this many
 MAX_PAIRS = 16         # ordered pairs tested by `monte_carlo`, at most
@@ -273,10 +273,8 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     rate of the identity's own test; lambda2 as the max over tested ordered
     pairs of the false-accept rate.  Deterministic given the seed.
     """
-    if _integer("trials_per_pair", trials_per_pair) < 1:
-        raise InvalidParameter("trials_per_pair must be >= 1")
-    if _integer("seed", seed) < 0:
-        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    trials_per_pair = _integer("trials_per_pair", trials_per_pair, 1)
+    seed = _integer("seed", seed, 0)
     tables = _pair_tables(ch, dist)
     identities, pairs = _choose_identities(code, seed)
 
@@ -317,13 +315,6 @@ def _running_sum(total: float, terms: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
-def require_exact_enumerable(code: IDFeedbackCode, ch: StateDMC) -> None:
-    """Raise the `TooLargeToEnumerate` that `exact_error_probabilities` would,
-    without enumerating: the |Y|^k tails first, then the |Y|^n pilot blocks."""
-    require_enumerable(code.inner.log_table.shape[2], code.inner.k)
-    require_enumerable(ch.output_size, code.n)
-
-
 def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
                               pairs) -> dict:
     """Exact lambda1 per identity and lambda2 per ordered pair.
@@ -334,8 +325,8 @@ def exact_error_probabilities(code: IDFeedbackCode, ch: StateDMC,
     law because the verdict depends on the output block only.  Every sum
     runs in lexicographic block order; only typical blocks are colored,
     those of a chunk in one `code.colorings` call per identity.
-    The |Y|^n pilot blocks and the |Y|^k tails are enumerated, and so
-    guarded by `enumerate_blocks`, apart.
+    The |Y|^k tails and the |Y|^n pilot blocks are enumerated, and so
+    guarded by `enumerate_blocks`, apart: the tails first, then the blocks.
     """
     confusion = confusion_matrix(code.inner.log_table)
     row = code.pilot_row
@@ -399,9 +390,7 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
     """Exhaustive grid maximum of the (constrained) output-mixture entropy."""
     if ch.input_size > 3:
         raise AlphabetTooLarge("grid oracle supports |X| <= 3")
-    if _integer("resolution", resolution) < 1:
-        raise InvalidParameter(f"grid resolution must be >= 1, got {resolution}")
-    if resolution > 400:
+    if _integer("resolution", resolution, 1) > 400:
         raise AlphabetTooLarge("grid resolution capped at 400")
     grid = _simplex_grid(ch.input_size, resolution)
     if budget is not None:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacity import entropy
 from .channel import StateDMC, _block
-from .errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate
+from .errors import InvalidParameter, LengthMismatch, TooLargeToEnumerate, _integer
 from .estimation import _check_distribution
 
 ENUMERATION_GUARD = 2 ** 20   # most blocks (or tables) any exact oracle enumerates
@@ -54,8 +54,7 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
     n is log2 |T| >= log2 W^n(T|x^n) + n*(H - eps * sum_y |log2 w(y)|),
     since no member is more likely than 2^(-n*(H - eps * sum_y |log2 w(y)|)).
     """
-    if n < 1:
-        raise InvalidParameter("n must be >= 1")
+    n = _integer("n", n, 1)
     if not eps > 0:
         raise InvalidParameter("eps must be > 0")
     rows = ch.rows
@@ -100,8 +99,8 @@ def symbol_counts(blocks: np.ndarray, size: int) -> np.ndarray:
 
 def enumerate_typical_set(ch: StateDMC, x_seq, eps: float) -> list[tuple[int, ...]]:
     """Exhaustive, lexicographically sorted typical set for a fixed pilot x^n."""
-    if eps < 0:
-        raise InvalidParameter("eps must be >= 0")
+    if not eps >= 0:    # nan fails this too
+        raise InvalidParameter(f"eps must be >= 0, got {eps!r}")
     x_seq = _block(np.asarray(x_seq), ch.input_size, what="input")
     if x_seq.size == 0:
         raise LengthMismatch("sequences must have length >= 1")

@@ -118,6 +118,17 @@ def test_non_finite_budget_exit_2(runner, command):
     assert "budget" in result.output
 
 
+@pytest.mark.parametrize("command", ["capacity", "estimate"])
+def test_nan_channel_entry_exit_2(runner, tmp_path, command):
+    # nan passed every `<` check of the channel: `capacity` ended in a
+    # traceback and `estimate` exited 0 with a nan profile
+    spec = channel_to_dict(flip_bsc())
+    spec["kernel"][0][0] = [float("nan"), 0.5]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(spec))
+    assert_config_error(runner.invoke(main, [command, "--channel", str(path)]))
+
+
 @pytest.mark.parametrize("command,key,value", [
     ("simulate", "n", "four"),
     ("simulate", "identities", "four"),

@@ -6,12 +6,14 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from idsense.capacity import image_size_bound, tradeoff_curve
-from idsense.channel import transmit
-from idsense.coding import build_id_code, build_transmission_code
-from idsense.errors import IdsenseError, InvalidParameter, TooManyMessages
-from idsense.estimation import estimate_sequence, optimal_estimator
+from idsense.capacity import image_size_bound, rate_of_code, tradeoff_curve
+from idsense.channel import StateDMC, sample_state_sequence, transmit
+from idsense.coding import _prf_prefix, build_id_code, build_transmission_code, coloring_value
+from idsense.errors import IdsenseError, InvalidParameter, TooManyMessages, _integer
+from idsense.estimation import estimate_sequence, hamming_distortion, optimal_estimator
 from idsense.sim import grid_capacity_oracle, monte_carlo
 from idsense.typicality import enumerate_typical_set, typical_size_bounds
 
@@ -66,9 +68,19 @@ def _grid(resolution):
     return lambda flip, ham2: grid_capacity_oracle(flip, resolution=resolution)
 
 
-# each raised a bare TypeError, ValueError, IndexError or OverflowError, was
-# silently truncated, or (the message counts past the distinct codewords)
-# took up to minutes to refuse
+def _color(master_seed=1, color_count=5, identity=1):
+    return lambda flip, ham2: coloring_value(master_seed, color_count, identity, (0, 1))
+
+
+def _nan_channel(kernel_entry=0.5, prior_entry=0.5):
+    return lambda flip, ham2: StateDMC(1, 2, 2, [[[kernel_entry, 0.5], [0.5, 0.5]]],
+                                       [prior_entry, 0.5])
+
+
+# each raised a bare TypeError, ValueError, IndexError, AttributeError or
+# OverflowError, returned a value (a float color, seed 0's code for seed
+# 2^64, a channel or typical set with a nan), was silently truncated, or (the
+# message counts past the distinct codewords) took up to minutes to refuse
 PROBES = {
     "build_id_code-colors=10000": _build(colors=10_000),
     "build_id_code-colors=2^70": _build(colors=2 ** 70),
@@ -93,6 +105,28 @@ PROBES = {
     "enumerate_typical_set-x=0.5":
         lambda flip, ham2: enumerate_typical_set(flip, [0.5, 0], 0.3),
     "typical_size_bounds-pilot=0.5": lambda flip, ham2: typical_size_bounds(flip, 0.5, 8, 0.1),
+    "build_id_code-master_seed=2.5": _build(master_seed=2.5),
+    "build_id_code-master_seed=-1": _build(master_seed=-1),
+    "build_id_code-master_seed=2^64": _build(master_seed=2 ** 64),
+    "coloring_value-master_seed=2.5": _color(master_seed=2.5),
+    "coloring_value-master_seed=-1": _color(master_seed=-1),
+    "coloring_value-master_seed=2^64": _color(master_seed=2 ** 64),
+    "coloring_value-identity=-1": _color(identity=-1),
+    "coloring_value-identity=1.0": _color(identity=1.0),
+    "coloring_value-color_count=2.0": _color(color_count=2.0),
+    "typical_size_bounds-n=2.5": lambda flip, ham2: typical_size_bounds(flip, 0, 2.5, 0.1),
+    "rate_of_code-blocklength=2.5": lambda flip, ham2: rate_of_code(4, 2.5),
+    "image_size_bound-n=2.5": lambda flip, ham2: image_size_bound(2.5, 0.5, 2, 1.0),
+    "image_size_bound-output_size=0": lambda flip, ham2: image_size_bound(4, 0.5, 0, 1.0),
+    "sample_state_sequence-n=2.5":
+        lambda flip, ham2: sample_state_sequence(flip, 2.5, np.random.default_rng(0)),
+    "sample_state_sequence-n=-1":
+        lambda flip, ham2: sample_state_sequence(flip, -1, np.random.default_rng(0)),
+    "hamming_distortion-state_size=2.5": lambda flip, ham2: hamming_distortion(2.5),
+    "StateDMC-kernel=nan": _nan_channel(kernel_entry=float("nan")),
+    "StateDMC-prior=nan": _nan_channel(prior_entry=float("nan")),
+    "enumerate_typical_set-eps=nan":
+        lambda flip, ham2: enumerate_typical_set(flip, [0, 0], float("nan")),
 }
 
 
@@ -120,3 +154,27 @@ def test_more_messages_than_codewords(flip, ham2, alarm):
     _build(colors=4)(flip, ham2)
     with pytest.raises(TooManyMessages, match="exceed the 4 distinct codewords"):
         _build(colors=5)(flip, ham2)
+
+
+def test_float_identity_refused_whatever_the_cache(flip, ham2):
+    # the prefix cache's key 1.0 equals 1: identity 1.0 raised AttributeError
+    # until identity 1 was colored, and was then served from the cache
+    _prf_prefix.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InvalidParameter):
+            _color(identity=1.0)(flip, ham2)
+        assert 1 <= coloring_value(1, 5, 1, (0, 1)) <= 5
+
+
+@given(value=st.one_of(st.integers(), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+                       st.floats(), st.floats().map(np.float64), st.booleans(),
+                       st.text(max_size=3), st.none()),
+       low=st.integers(-2 ** 70, 2 ** 70),
+       width=st.one_of(st.none(), st.integers(0, 2 ** 70)))
+def test_integer_is_an_int_in_range_or_refused(value, low, width):
+    high = None if width is None else low + width
+    try:
+        number = _integer("x", value, low, high)
+    except InvalidParameter:
+        return
+    assert isinstance(number, int) and number >= low and (high is None or number <= high)

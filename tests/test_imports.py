@@ -3,6 +3,8 @@ module-level name is left unused by the package, the public surface is the
 pinned list below, and the README's examples run."""
 
 import ast
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -116,8 +118,14 @@ def test_public_surface():
 
 
 def test_readme_examples_run():
-    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                        re.DOTALL | re.MULTILINE)
+    # run quietly, and check the first value printed against its comment
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
     assert blocks
+    printed = io.StringIO()
     for block in blocks:
-        exec(compile(block, "README.md", "exec"), {})
+        with contextlib.redirect_stdout(printed):
+            exec(compile(block, "README.md", "exec"), {})
+    shown = re.search(r"^print\(.*# (\d+\.(\d+))\.\.\.$", readme, re.MULTILINE)
+    first = float(printed.getvalue().split()[0])
+    assert round(first, len(shown[2])) == float(shown[1])
