@@ -63,7 +63,11 @@ class CapacityResult:
 
 def entropy(q) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    q = _check_distribution(q)
+    return _entropy(_check_distribution(q))
+
+
+def _entropy(q: np.ndarray) -> float:
+    """`entropy` of a vector already known to be a distribution; the solver's sum."""
     pos = q[q > 0]
     return float(-(pos * np.log2(pos)).sum())
 
@@ -76,12 +80,6 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
     """H(w_x) of every row, with 0 log 0 = 0."""
     logrows = np.where(rows > 0, np.log2(np.maximum(rows, TINY)), 0.0)
     return -(rows * logrows).sum(axis=1)
-
-
-def _mixture_entropy(rows: np.ndarray, p: np.ndarray) -> float:
-    q = p @ rows
-    pos = q > 0
-    return float(-(q[pos] * np.log2(q[pos])).sum())
 
 
 def _information(rows: np.ndarray, h: np.ndarray, p: np.ndarray) -> float:
@@ -160,7 +158,7 @@ def _newton_on_face(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
     if t == limit:
         new[shrinking[np.argmin(ratios)]] = 0.0
     new /= new.sum()
-    if _mixture_entropy(R, new) - new @ c < _mixture_entropy(R, w) - w @ c:
+    if _entropy(new @ R) - new @ c < _entropy(w @ R) - w @ c:
         return weights
     out = np.zeros_like(weights)
     out[active] = new
@@ -219,7 +217,7 @@ def _frank_wolfe(rows: np.ndarray, verts: np.ndarray, h: np.ndarray,
 def _max_mixture_entropy(rows: np.ndarray, verts: np.ndarray) -> CapacityResult:
     """max of H(PW) over the convex hull of verts, with its certificate."""
     p, gap, it = _frank_wolfe(rows, verts, np.zeros(rows.shape[0]), DEFAULT_TOL)
-    return CapacityResult(value=_mixture_entropy(rows, p), maximizer=InputDistribution(p=p),
+    return CapacityResult(value=_entropy(p @ rows), maximizer=InputDistribution(p=p),
                           optimality_gap=gap, iterations=it)
 
 
@@ -239,12 +237,14 @@ def _shannon(rows: np.ndarray, tol: float = DEFAULT_TOL) -> CapacityResult:
                           optimality_gap=gap, iterations=it)
 
 
-def shannon_capacity_avg(ch: StateDMC, tol: float = 1e-9) -> CapacityResult:
+def shannon_capacity_avg(ch: StateDMC, tol: float = DEFAULT_TOL) -> CapacityResult:
     """Shannon capacity of the averaged channel, the transmission baseline.
 
     It is not an ID capacity: with feedback the randomized ID capacity is
     max_P H(PW) (`rand_feedback_capacity`), 1.0 on FlipBSC against 0.531.
     """
+    if not tol > 0:
+        raise InvalidParameter(f"tol must be > 0, got {tol!r}")
     return _shannon(ch.rows, tol)
 
 
@@ -331,18 +331,21 @@ def rand_capacity_distortion(ch: StateDMC, dist: DistortionMatrix,
     return _max_mixture_entropy(ch.rows, _constrained_vertices(profile, budget, feasible))
 
 
-def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str) -> list[dict]:
-    """Pointwise capacity-distortion curve; infeasible points flagged, never interpolated."""
+def _capacity_distortion(mode: str):
+    """The capacity-distortion function of a code mode, "det" or "rand"; the one mode check."""
     if mode not in ("det", "rand"):
         raise InvalidParameter(f"unknown mode {mode!r}")
+    return det_capacity_distortion if mode == "det" else rand_capacity_distortion
+
+
+def tradeoff_curve(ch: StateDMC, dist: DistortionMatrix, budgets, mode: str) -> list[dict]:
+    """Pointwise capacity-distortion curve; infeasible points flagged, never interpolated."""
+    solve = _capacity_distortion(mode)
     points = []
     for budget in budgets:
         try:
-            if mode == "det":
-                res = det_capacity_distortion(ch, dist, budget)
-            else:
-                res = rand_capacity_distortion(ch, dist, budget)
-            points.append({"D": float(budget), "feasible": True, "value": res.value})
+            value = solve(ch, dist, budget).value
+            points.append({"D": float(budget), "feasible": True, "value": value})
         except InfeasibleDistortion:
             points.append({"D": float(budget), "feasible": False, "value": None})
     return points
@@ -360,6 +363,8 @@ def image_size_bound(n: int, mu: float, output_size: int, rate: float) -> float:
     n, output_size = _integer("n", n, 0), _integer("output_size", output_size, 1)
     if not 0.0 < mu < 1.0:
         raise InvalidParameter("mu must lie in (0, 1)")
+    if not 0.0 <= rate < math.inf:    # nan fails this too; -0.0 passes
+        raise InvalidParameter(f"rate must be finite and >= 0, got {rate!r}")
     beta = max(math.log2(3.0) ** 2, math.log2(output_size) ** 2)
     return n * rate + math.sqrt(beta / mu) * math.sqrt(n)
 

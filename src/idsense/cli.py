@@ -57,11 +57,12 @@ from .estimation import (
 )
 from .fixtures import fixture_path
 from .sim import (
-    _choose_identities,
+    _json_rates,
     _rate_stderr,
     brute_force_estimator_distortion,
     exact_error_probabilities,
     monte_carlo,
+    pairs_to_test,
 )
 from .typicality import typical_size_bounds
 
@@ -376,8 +377,9 @@ def simulate(ch, distortion, budget, mode, n, identities, colors, eps,
     if budget is None:
         budget = float(distortion_profile(ch, distortion).per_input.max())
     code = build_id_code(ch, distortion, budget, n, identities, colors, eps, mode, seed)
+    tested = pairs_to_test(code, seed)
     if exact:  # the oracle first: its guard refuses before any trial is drawn
-        oracle = exact_error_probabilities(code, ch, _choose_identities(code, seed)[1])
+        oracle = exact_error_probabilities(code, ch, tested)
     report = monte_carlo(code, ch, distortion, trials, seed=seed)
     data = report.to_dict()
     data["code"] = code.to_dict()
@@ -388,16 +390,11 @@ def simulate(ch, distortion, budget, mode, n, identities, colors, eps,
     data["image_size_log2_K3"] = image_size_bound(code.m, 0.5, ch.output_size,
                                                   det_within_budget.value)
     if exact:
-        data["exact_lambda1"] = {str(k): v for k, v in
-                                 sorted(oracle["lambda1"].items())}
-        data["exact_lambda2"] = {f"{a}->{b}": v for (a, b), v in
-                                 sorted(oracle["lambda2"].items())}
+        data["exact_lambda1"], data["exact_lambda2"] = _json_rates(oracle["lambda1"],
+                                                                   oracle["lambda2"])
     rows = [["i", "iprime", "trials", "accept_rate", "stderr"]]
-    for i in report.identities:
-        p = 1.0 - report.lambda1_per_identity[i]
-        rows.append([i, i, trials, p, _rate_stderr(p, trials)])
-    for (a, b) in report.pairs:
-        p = report.lambda2_per_pair[(a, b)]
+    for (a, b) in tested:
+        p = 1.0 - report.lambda1_per_identity[a] if a == b else report.lambda2_per_pair[(a, b)]
         rows.append([a, b, trials, p, _rate_stderr(p, trials)])
     rows.append([])
     rows.append(["t", "d_t_hat", "stderr"])

@@ -16,13 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import StateDMC, _block, cumulative, sample_rows
-from .capacity import (
-    ZERO_CAPACITY_TOL,
-    InputDistribution,
-    _shannon,
-    det_capacity_distortion,
-    rand_capacity_distortion,
-)
+from .capacity import ZERO_CAPACITY_TOL, InputDistribution, _capacity_distortion, _shannon
 from .errors import InvalidParameter, TooManyMessages, ZeroCapacityChannel, _integer
 from .estimation import DistortionMatrix, _feasible_inputs
 from .typicality import counts_typical, enumerate_blocks, symbol_counts
@@ -428,8 +422,7 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
                   identities: int, colors: int, eps: float, mode: str,
                   master_seed: int) -> IDFeedbackCode:
     """Assemble the concatenated feedback ID code for one budget."""
-    if mode not in ("det", "rand"):
-        raise InvalidParameter(f"unknown mode {mode!r}")
+    solve = _capacity_distortion(mode)
     identities, n = _integer("identities", identities, 2), _integer("n", n, 1)
     master_seed, colors = _seed_and_count(master_seed, colors)
     if not eps > 0:
@@ -437,12 +430,11 @@ def build_id_code(ch: StateDMC, dist: DistortionMatrix, budget: float, n: int,
     k = math.ceil(math.sqrt(n))
     _, feasible = _feasible_inputs(ch, dist, budget)
 
+    pilot = solve(ch, dist, budget).maximizer
     if mode == "det":
-        pilot: int | InputDistribution = det_capacity_distortion(ch, dist, budget).maximizer
         pilot_row = ch.rows[pilot].copy()
         inner_support = feasible
     else:
-        pilot = rand_capacity_distortion(ch, dist, budget).maximizer
         pilot_row = pilot.p @ ch.rows
         inner_support = np.flatnonzero(pilot.p > SUPPORT_TOL)
 

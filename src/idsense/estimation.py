@@ -16,6 +16,7 @@ from .channel import StateDMC, _block
 from .errors import (
     DimensionMismatch,
     InfeasibleDistortion,
+    InvalidParameter,
     LengthMismatch,
     NegativeDistortion,
     NotADistribution,
@@ -125,7 +126,10 @@ def distortion_profile(ch: StateDMC, dist: DistortionMatrix) -> DistortionProfil
 
 def _feasible_inputs(ch: StateDMC, dist: DistortionMatrix,
                      budget: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d* profile, ascending inputs x with d*(x) <= D), or InfeasibleDistortion if none."""
+    """(d* profile, ascending inputs x with d*(x) <= D), or InfeasibleDistortion if none;
+    the one place a budget enters, so a nan budget raises InvalidParameter."""
+    if np.isnan(budget):
+        raise InvalidParameter(f"distortion budget must be a number, got {budget!r}")
     profile = distortion_profile(ch, dist).per_input
     feasible = np.flatnonzero(profile <= budget + FEASIBILITY_TOL)
     if feasible.size == 0:

@@ -16,12 +16,12 @@ import numpy as np
 from .capacity import _row_entropies
 from .channel import StateDMC, cumulative, sample_rows, sample_state_sequence, transmit
 from .coding import ABORT_COLOR, IDFeedbackCode, _ml_decode, confusion_matrix, verify
-from .errors import AlphabetTooLarge, InfeasibleDistortion, InvalidParameter, _integer
+from .errors import AlphabetTooLarge, InvalidParameter, _integer
 from .estimation import (
     FEASIBILITY_TOL,
     DistortionMatrix,
     EstimatorTable,
-    distortion_profile,
+    _feasible_inputs,
     estimate_sequence,
     optimal_estimator,
     posterior_cost,
@@ -69,15 +69,14 @@ class SimReport:
         return float(np.mean(self.d_t_hat))
 
     def to_dict(self) -> dict:
+        lambda1, lambda2 = _json_rates(self.lambda1_per_identity, self.lambda2_per_pair)
         return {
             "identities": [int(i) for i in self.identities],
             "pairs": [[int(a), int(b)] for a, b in self.pairs],
             "trials_per_pair": self.trials_per_pair,
             "seed": self.seed,
-            "lambda1_per_identity": {str(k): v for k, v in
-                                     sorted(self.lambda1_per_identity.items())},
-            "lambda2_per_pair": {f"{a}->{b}": v for (a, b), v in
-                                 sorted(self.lambda2_per_pair.items())},
+            "lambda1_per_identity": lambda1,
+            "lambda2_per_pair": lambda2,
             "lambda1_hat": self.lambda1_hat,
             "lambda1_stderr": self.lambda1_stderr,
             "lambda2_hat": self.lambda2_hat,
@@ -86,6 +85,12 @@ class SimReport:
             "d_t_stderr": self.d_t_stderr.tolist(),
             "d_bar_hat": self.d_bar_hat,
         }
+
+
+def _json_rates(lambda1: dict, lambda2: dict) -> tuple[dict, dict]:
+    """Per-identity and per-pair rates keyed for JSON: "i" and "a->b", in order."""
+    return ({str(i): v for i, v in sorted(lambda1.items())},
+            {f"{a}->{b}": v for (a, b), v in sorted(lambda2.items())})
 
 
 def _rate_stderr(p: float, trials: int) -> float:
@@ -245,9 +250,10 @@ def _simulate_pair(code: IDFeedbackCode, tables: tuple, identity: int,
     return accept, dvals
 
 
-def _choose_identities(code: IDFeedbackCode, seed: int):
-    """Every identity up to MAX_IDENTITIES, else that many at random; then
-    at most MAX_PAIRS of their ordered pairs, at random."""
+def pairs_to_test(code: IDFeedbackCode, seed: int) -> list[tuple[int, int]]:
+    """The (sent, tested) pairs of `monte_carlo` and of `simulate --exact`: each
+    identity up to MAX_IDENTITIES, else that many at random, as (i, i) first;
+    then at most MAX_PAIRS of their ordered pairs (a != b), at random."""
     n_ids = code.identity_count
     if n_ids <= MAX_IDENTITIES:
         identities = list(range(1, n_ids + 1))
@@ -262,7 +268,7 @@ def _choose_identities(code: IDFeedbackCode, seed: int):
         picker = random.Random(seed + 1)
         ordered = picker.sample(ordered, MAX_PAIRS)
         ordered.sort()
-    return identities, ordered
+    return [(i, i) for i in identities] + ordered
 
 
 def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
@@ -276,14 +282,14 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     trials_per_pair = _integer("trials_per_pair", trials_per_pair, 1)
     seed = _integer("seed", seed, 0)
     tables = _pair_tables(ch, dist)
-    identities, pairs = _choose_identities(code, seed)
+    tested = pairs_to_test(code, seed)
 
     dist_sum = np.zeros(code.m)
     dist_sqsum = np.zeros(code.m)
-    total_trials = trials_per_pair * (len(identities) + len(pairs))
+    total_trials = trials_per_pair * len(tested)
     lambda1, lambda2 = {}, {}
     cache: dict = {}
-    for (a, b) in [(i, i) for i in identities] + list(pairs):
+    for (a, b) in tested:
         accept, dvals = _simulate_pair(code, tables, a, b, trials_per_pair,
                                        _pair_seed(seed, a, b), cache)
         if a == b:
@@ -298,7 +304,7 @@ def monte_carlo(code: IDFeedbackCode, ch: StateDMC, dist: DistortionMatrix,
     d_t_hat = dist_sum / total_trials
     var = np.maximum(dist_sqsum / total_trials - d_t_hat ** 2, 0.0)
     d_t_stderr = np.sqrt(var / total_trials)
-    return SimReport(identities=tuple(identities), pairs=tuple(pairs),
+    return SimReport(identities=tuple(lambda1), pairs=tuple(lambda2),
                      trials_per_pair=trials_per_pair, seed=seed,
                      lambda1_per_identity=lambda1, lambda2_per_pair=lambda2,
                      lambda1_hat=l1_hat,
@@ -396,8 +402,7 @@ def grid_capacity_oracle(ch: StateDMC, dist: DistortionMatrix | None = None,
     if budget is not None:
         if dist is None:
             raise InvalidParameter("budget given without a distortion matrix")
-        profile = distortion_profile(ch, dist).per_input
+        # every unit vector is a grid point, and its cost is d*(x) exactly
+        profile, _ = _feasible_inputs(ch, dist, budget)
         grid = grid[grid @ profile <= budget + FEASIBILITY_TOL]
-        if grid.size == 0:
-            raise InfeasibleDistortion(budget, min_feasible=float(profile.min()))
     return float(_row_entropies(grid @ ch.rows).max())

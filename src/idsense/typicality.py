@@ -70,18 +70,14 @@ def typical_size_bounds(ch: StateDMC, pilot, n: int, eps: float) -> tuple[float,
     return n * (h - c), n * (h + c)
 
 
-def require_enumerable(size: int, n: int) -> None:
-    """Raise `TooLargeToEnumerate` if the size**n blocks of length n exceed the guard."""
-    if size ** n > ENUMERATION_GUARD:
-        raise TooLargeToEnumerate(f"{size}^{n} blocks exceed the enumeration guard")
-
-
 def enumerate_blocks(size: int, n: int) -> np.ndarray:
     """Every length-n block over {0..size-1}, one per row, in lexicographic order.
 
     uint8 for alphabets of at most 256 symbols, wider only when needed.
+    More than ENUMERATION_GUARD blocks raise `TooLargeToEnumerate`.
     """
-    require_enumerable(size, n)
+    if size ** n > ENUMERATION_GUARD:
+        raise TooLargeToEnumerate(f"{size}^{n} blocks exceed the enumeration guard")
     dtype = np.uint8 if size <= 2 ** 8 else np.uint16 if size <= 2 ** 16 else np.int64
     return np.indices((size,) * n, dtype=dtype).reshape(n, -1).T
 

@@ -46,3 +46,16 @@ def test_rejects_other_files(tool, tmp_path):
     other.write_text("{}")
     with pytest.raises(ValueError):
         tool.snapshot("x", [other])
+
+
+def test_refuses_one_run_twice(tool, tmp_path, monkeypatch, capsys):
+    # a parent's and a change's result file of one workload and seed would be pooled
+    files = []
+    for tree, wall in (("parent", 0.2), ("change", 0.3)):
+        (tmp_path / tree).mkdir()
+        files.append(write_result(tmp_path / tree, "monte_carlo", 5, 0, {"wall_s": wall}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["bench_snapshot.py", "--label", "x", *map(str, files)])
+    assert tool.main() == 2
+    assert "same run" in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -461,6 +461,19 @@ class TestSimulateCommand:
             for key, p in exact.items():
                 assert abs(measured[key] - p) <= 4 * np.sqrt(p * (1 - p) / 2000), key
 
+    def test_exact_covers_every_reported_identity(self, runner):
+        # identity 4 is in none of seed 10's 16 sampled pairs: only its self
+        # pair tests it
+        result = runner.invoke(main, [
+            "simulate", "--channel", "flip_bsc", "-D", "0.45", "--n", "4",
+            "--identities", "8", "--colors", "4", "--eps", "0.3",
+            "--trials", "200", "--seed", "10", "--exact"])
+        assert result.exit_code == 0
+        data = json.loads(result.output)
+        assert len(data["lambda1_per_identity"]) == 8
+        assert data["exact_lambda1"].keys() == data["lambda1_per_identity"].keys()
+        assert data["exact_lambda2"].keys() == data["lambda2_per_pair"].keys()
+
     def test_exact_guard_exit_4(self, runner):
         result = runner.invoke(main, [
             "simulate", "--channel", "flip_bsc", "--distortion", "hamming",

@@ -9,13 +9,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idsense.capacity import image_size_bound, rate_of_code, tradeoff_curve
+from idsense.capacity import (
+    det_capacity_distortion,
+    image_size_bound,
+    rand_capacity_distortion,
+    rate_of_code,
+    shannon_capacity_avg,
+    tradeoff_curve,
+)
 from idsense.channel import StateDMC, sample_state_sequence, transmit
 from idsense.coding import _prf_prefix, build_id_code, build_transmission_code, coloring_value
 from idsense.errors import IdsenseError, InvalidParameter, TooManyMessages, _integer
-from idsense.estimation import estimate_sequence, hamming_distortion, optimal_estimator
+from idsense.estimation import (
+    estimate_sequence,
+    feasible_inputs,
+    hamming_distortion,
+    optimal_estimator,
+)
 from idsense.sim import grid_capacity_oracle, monte_carlo
 from idsense.typicality import enumerate_typical_set, typical_size_bounds
+
+
+NAN = float("nan")
 
 
 def _monte_carlo_no_trials(flip, ham2):
@@ -32,6 +47,17 @@ CALLS = {
     "grid_capacity_oracle-budget_without_distortion":
         lambda flip, ham2: grid_capacity_oracle(flip, budget=0.45),
     "image_size_bound-n": lambda flip, ham2: image_size_bound(-1, 0.5, 2, 1.0),
+    # a nan budget is not a budget that no input meets
+    "det_capacity_distortion-budget=nan":
+        lambda flip, ham2: det_capacity_distortion(flip, ham2, NAN),
+    "rand_capacity_distortion-budget=nan":
+        lambda flip, ham2: rand_capacity_distortion(flip, ham2, NAN),
+    "grid_capacity_oracle-budget=nan":
+        lambda flip, ham2: grid_capacity_oracle(flip, ham2, NAN),
+    "feasible_inputs-budget=nan": lambda flip, ham2: feasible_inputs(flip, ham2, NAN),
+    "tradeoff_curve-budget=nan": lambda flip, ham2: tradeoff_curve(flip, ham2, [NAN], "det"),
+    "build_id_code-budget=nan": lambda flip, ham2: build_id_code(flip, ham2, NAN, 4, 2, 2,
+                                                                 0.3, "det", 0),
 }
 
 
@@ -127,6 +153,12 @@ PROBES = {
     "StateDMC-prior=nan": _nan_channel(prior_entry=float("nan")),
     "enumerate_typical_set-eps=nan":
         lambda flip, ham2: enumerate_typical_set(flip, [0, 0], float("nan")),
+    "image_size_bound-rate=nan": lambda flip, ham2: image_size_bound(4, 0.5, 2, NAN),
+    "image_size_bound-rate=-3": lambda flip, ham2: image_size_bound(4, 0.5, 2, -3.0),
+    "image_size_bound-rate=inf": lambda flip, ham2: image_size_bound(4, 0.5, 2, float("inf")),
+    # a tol that is not > 0 could never be certified
+    "shannon_capacity_avg-tol=nan": lambda flip, ham2: shannon_capacity_avg(flip, tol=NAN),
+    "shannon_capacity_avg-tol=0": lambda flip, ham2: shannon_capacity_avg(flip, tol=0.0),
 }
 
 
@@ -146,6 +178,16 @@ def alarm():
 def test_bad_count_or_symbol_is_refused_at_once(flip, ham2, alarm, call):
     with pytest.raises(IdsenseError):
         call(flip, ham2)
+
+
+def test_infinite_budget_constrains_nothing(flip, ham2):
+    assert feasible_inputs(flip, ham2, float("inf")) == {0, 1}
+    assert grid_capacity_oracle(flip, ham2, float("inf")) == grid_capacity_oracle(flip)
+
+
+def test_zero_rate_of_either_sign_is_a_rate():
+    # an entropy of a point mass may come out as -0.0
+    assert image_size_bound(4, 0.5, 2, -0.0) == image_size_bound(4, 0.5, 2, 0.0) > 0
 
 
 def test_more_messages_than_codewords(flip, ham2, alarm):

@@ -22,6 +22,7 @@ from idsense.sim import (
     exact_error_probabilities,
     grid_capacity_oracle,
     monte_carlo,
+    pairs_to_test,
     run_trial,
 )
 from idsense.typicality import enumerate_blocks
@@ -286,6 +287,19 @@ class TestExactOracle:
         result = exact_error_probabilities(code, flip, [(1, 2)])
         assert result["lambda2"][(1, 2)] == pytest.approx(
             1.0 - result["lambda1"][1], abs=1e-12)
+
+    def test_covers_the_monte_carlo_pairs(self, flip, ham2):
+        # 8 identities, 16 of their 56 ordered pairs: some seeds leave an
+        # identity out of every pair, and its self pair must still be there
+        code = build_id_code(flip, ham2, 0.45, n=4, identities=8, colors=4,
+                             eps=0.3, mode="det", master_seed=1)
+        for seed in range(200):
+            tested = pairs_to_test(code, seed)
+            assert tested[:8] == [(i, i) for i in range(1, 9)] and len(tested) == 24
+            exact = exact_error_probabilities(code, flip, tested)
+            report = monte_carlo(code, flip, ham2, 1, seed=seed)
+            assert exact["lambda1"].keys() == report.lambda1_per_identity.keys(), seed
+            assert exact["lambda2"].keys() == report.lambda2_per_pair.keys(), seed
 
     def test_guard(self, flip, ham2):
         code = build_id_code(flip, ham2, 0.45, n=25, identities=4, colors=4,

@@ -5,11 +5,13 @@ Run from the root of the checkout whose code the results measured:
     python3 tools/bench_snapshot.py --label main bench/out/result-*-trace0.json
 
 Each argument is a `bench/out/result-<workload>-seed<seed>-trace<0|1>.json`
-file written by `bench/run.py`.  Per workload the snapshot keeps the median
-and quartiles (`statistics.quantiles(values, n=4)`) of every metric of the
-untraced runs (the end-to-end metrics), the medians of the traced runs (the
-per-layer metrics), the seeds, and how many runs were correct and how many
-operations failed.  It also records the commit (with `-dirty` when the
+file written by `bench/run.py`.  Two files of the same workload, seed and
+trace flag (say, a parent's and a change's) are refused with exit 2, so the
+runs of two trees are never pooled.  Per workload the snapshot keeps the
+median and quartiles (`statistics.quantiles(values, n=4)`) of every metric
+of the untraced runs (the end-to-end metrics), the medians of the traced
+runs (the per-layer metrics), the seeds, and how many runs were correct and
+how many operations failed.  It also records the commit (with `-dirty` when the
 working tree differs from it), the machine, and the Python and numpy
 versions.  Only the standard library is used.
 """
@@ -65,10 +67,16 @@ def _summary(values: list[float], quartiles: bool) -> dict:
 
 def snapshot(label: str, files: list[Path]) -> dict:
     runs: dict[str, dict[str, list]] = {}
+    seen: dict[tuple, Path] = {}
     for path in files:
         match = NAME.search(path.name)
         if match is None:
             raise ValueError(f"{path}: not a bench/out result file")
+        key = match.group("workload", "seed", "trace")
+        if key in seen:
+            raise ValueError(f"{path} and {seen[key]} are the same run, of two trees or "
+                             "copies; summarize one checkout's runs at a time")
+        seen[key] = path
         result = json.loads(path.read_text())
         kind = "per_layer" if match["trace"] == "1" else "end_to_end"
         runs.setdefault(match["workload"], {}).setdefault(kind, []).append(
